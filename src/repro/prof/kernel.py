@@ -29,9 +29,13 @@ Exports: :meth:`KernelProfiler.folded` (folded-stack flamegraph text,
 (a Chrome ``trace_event`` overlay loadable in Perfetto).  Both are
 byte-deterministic in counters mode.
 
-The hook is strictly additive: ``Environment.run`` pays exactly one
-``is not None`` guard when no profiler is installed; the profiled loop
-is a separate copy of the run loop (``Environment._run_profiled``).
+The hook is strictly additive: ``Environment.run`` pays one
+``is not None`` guard when no profiler is installed.  An installed
+profiler sends the run through the kernel's instrumented per-event loop
+(``Environment._run_instrumented``, shared with schedule controllers),
+which calls :meth:`KernelProfiler.begin_run` once per run,
+:meth:`~KernelProfiler.tally` once per pop and hands each event's
+callbacks to :meth:`~KernelProfiler.dispatch`.
 """
 
 from __future__ import annotations
@@ -77,12 +81,12 @@ class KernelProfiler:
 
     __slots__ = (
         "wall", "clock", "counts", "wall_ns", "event_counts", "events",
-        "batches", "max_batch",
+        "batches", "max_batch", "_key", "_batch",
     )
 
     def __init__(self, wall: bool = False) -> None:
         self.wall = bool(wall)
-        #: the kernel loop reads this once per run; None = counters only
+        #: wall-mode host clock read around each callback; None = counters only
         self.clock: Optional[Callable[[], int]] = _wall_clock if wall else None
         #: (kind, site) -> callback dispatch count
         self.counts: Dict[Tuple[str, str], int] = {}
@@ -96,11 +100,50 @@ class KernelProfiler:
         self.batches = 0
         #: largest single batch (events tied at one (when, prio))
         self.max_batch = 0
+        #: (when, prio) of the previous pop and the length of its batch
+        self._key: Optional[Tuple[float, int]] = None
+        self._batch = 0
 
     def install(self, env: Any) -> "KernelProfiler":
         """Attach to an :class:`~repro.sim.core.Environment`."""
         env.profiler = self
         return self
+
+    # -- kernel hooks ----------------------------------------------------
+
+    def begin_run(self) -> None:
+        """A new ``run()`` call: its first pop opens a new batch."""
+        self._key = None
+
+    def tally(self, when: float, prio: int) -> None:
+        """Count one pop into the batch tally.  A batch is a run of
+        consecutive pops sharing ``(when, prio)``."""
+        key = (when, prio)
+        if key != self._key:
+            self._key = key
+            self.batches += 1
+            self._batch = 0
+        self._batch += 1
+        if self._batch > self.max_batch:
+            self.max_batch = self._batch
+
+    def dispatch(self, event: Any, callbacks: List[Callable[..., Any]]) -> None:
+        """Run one event's callbacks, attributing each to ``(kind, site)``
+        (and, in wall mode, metering its host nanoseconds)."""
+        kind = type(event).__name__
+        self.events += 1
+        self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
+        counts = self.counts
+        clock = self.clock
+        for callback in callbacks:
+            key = (kind, site_of(callback))
+            counts[key] = counts.get(key, 0) + 1
+            if clock is None:
+                callback(event)
+            else:
+                t0 = clock()
+                callback(event)
+                self.wall_ns[key] = self.wall_ns.get(key, 0) + clock() - t0
 
     # -- snapshots -------------------------------------------------------
 

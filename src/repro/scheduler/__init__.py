@@ -12,8 +12,8 @@
 
 Support modules: :mod:`~repro.scheduler.queues` (requester lists),
 :mod:`~repro.scheduler.contention_level` (windowed CL tracking),
-:mod:`~repro.scheduler.stats_table` (bloom-filter-backed commit-time
-history that produces the ETS expected-commit estimate), and
+:mod:`~repro.scheduler.stats_table` (the EWMA commit-time history that
+produces the ETS expected-commit estimate), and
 :mod:`~repro.scheduler.adaptive` (the adaptive CL-threshold controller).
 """
 

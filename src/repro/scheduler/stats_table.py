@@ -1,12 +1,11 @@
 """The transaction stats table (§III-B).
 
 Per transaction *profile* (the workload operation type — e.g. "bank.transfer"),
-the table records historical commit latencies of write transactions.  The
-paper stores, per entry, "a bloom filter representation of the most current
-successful commit times"; we realise that as a Bloom digest of quantised
-commit-latency buckets (rebuilt ring-style every ``bloom_capacity``
-insertions so it tracks the *most current* history) alongside an EWMA used
-to produce the point estimate the ETS triple needs.
+the table records historical commit latencies in an EWMA, which produces
+the point estimate the ETS triple needs.  Deviation from the paper: it
+stores, per entry, "a bloom filter representation of the most current
+successful commit times"; nothing in the scheduler reads such a digest
+(ETS needs a point estimate, not set membership), so it is not kept.
 
 Whenever a transaction starts, its expected commit time is picked from
 this table (``expected_commit = start + expected_duration(profile)``) and
@@ -16,15 +15,11 @@ travels inside every request message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.util.bloom import BloomFilter
 from repro.util.stats import Ewma
 
 __all__ = ["ProfileStats", "TransactionStatsTable"]
-
-#: quantisation step for commit-time bucketing inside the Bloom digest
-_BUCKET = 1e-3  # 1 ms
 
 
 @dataclass
@@ -33,7 +28,6 @@ class ProfileStats:
 
     profile: str
     ewma: Ewma = field(default_factory=lambda: Ewma(alpha=0.2))
-    bloom: BloomFilter = field(default_factory=lambda: BloomFilter(capacity=256, error_rate=0.02))
     commits: int = 0
     write_commits: int = 0
 
@@ -41,16 +35,7 @@ class ProfileStats:
         self.commits += 1
         if wrote:
             self.write_commits += 1
-            # The paper's digest covers successful *write* commits only.
-            if self.bloom.count >= self.bloom.capacity:
-                self.bloom.clear()  # keep the digest "most current"
-            self.bloom.add(int(duration / _BUCKET))
         self.ewma.observe(duration)
-
-    def seen_latency_bucket(self, duration: float) -> bool:
-        """Has a write commit with this (quantised) latency been observed
-        recently?  (Bloom membership — may rarely return a false positive.)"""
-        return int(duration / _BUCKET) in self.bloom
 
 
 class TransactionStatsTable:

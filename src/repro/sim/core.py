@@ -7,12 +7,15 @@ therefore every simulation in this repository — fully deterministic.
 
 The schedule lives in a :class:`~repro.sim.calendar.CalendarQueue`
 (time buckets + far-future overflow heap) rather than a global binary
-heap: near-term pushes are amortized O(1) appends and the run loops
-drain every event tied at the current ``(time, priority)`` in one batch,
+heap: near-term pushes are amortized O(1) appends and the fast run loop
+drains every event tied at the current ``(time, priority)`` in one batch,
 which is where the 10–80-node event mix spends its time.  The queue pops
 in exact ``(time, priority, sequence)`` tuple order, so the processed
 event sequence is byte-identical to the old heap build (pinned in
 ``tests/rpc/test_equivalence.py`` and ``tests/sim/test_calendar.py``).
+A profiled or controlled run takes the one instrumented per-event loop
+instead; it and :meth:`Environment.step` share the per-event body
+(:meth:`Environment._fire`).
 
 Typical use::
 
@@ -29,7 +32,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Iterator, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from repro.sim.calendar import CalendarQueue, Entry
 from repro.sim.events import (
@@ -37,7 +40,6 @@ from repro.sim.events import (
     AnyOf,
     Event,
     Timeout,
-    PRIORITY_NORMAL,
     _PENDING,
 )
 from repro.sim.process import Process
@@ -56,10 +58,11 @@ class EmptySchedule(SimulationError):
 class ScheduleController:
     """Hook over the kernel's schedule-pop choice points.
 
-    When installed (``env.controller = controller``) the run loop takes a
-    separate copy of itself (:meth:`Environment._run_controlled`) that, at
-    every pop, hands the controller the *ready set* — every pending entry
-    tied at the minimal ``(time, priority)`` — and lets it either
+    When installed (``env.controller = controller``) ``run()`` takes the
+    instrumented per-event loop (:meth:`Environment._run_instrumented`),
+    which at every pop hands the controller the *ready set* — every
+    pending entry tied at the minimal ``(time, priority)`` — and lets it
+    either
 
     * **pick** which tied entry to process (``return i``), overriding the
       sequence-number tie-break, or
@@ -70,9 +73,10 @@ class ScheduleController:
       (:mod:`repro.check.explore`) uses to reorder in-flight deliveries.
 
     The default implementation always returns ``0`` (the seq-minimal
-    entry), which reproduces the uncontrolled schedule exactly; with no
-    controller installed the run loop below is untouched (one
-    ``is not None`` guard), keeping default runs byte-identical.
+    entry), which reproduces the uncontrolled schedule exactly.  While
+    ``select`` runs, ``env.now`` already stands at the ready set's time.  A
+    kernel profiler installed alongside composes with the controller: it
+    meters the dispatches of whatever the controller chose.
     """
 
     def select(
@@ -176,19 +180,37 @@ class Environment:
         """
         return self._queue.next_time()
 
-    def _pop_next(self) -> Entry:
-        """Pop the globally next schedule entry (the shared pop helper).
+    def _fire(
+        self,
+        event: Any,
+        dispatch: Optional[Callable[[Any, list], None]] = None,
+    ) -> None:
+        """Process one popped event: the per-event body of :meth:`step`
+        and of the instrumented loop (:meth:`_run_instrumented`).
 
-        :meth:`step` calls this per event; the run loops inline its
-        batch form (``CalendarQueue._advance`` + pointer walk) over the
-        very same structure, so single-step and batch execution follow
-        one ordering authority (pinned by
-        ``tests/sim/test_calendar.py::test_step_matches_run``).
+        Materialises a Timeout's value, detaches the callbacks (a late
+        ``add_callback()`` then runs synchronously), dispatches them —
+        through ``dispatch(event, callbacks)`` when a profiler meters
+        them — and re-raises the exception of any *failed* event that no
+        process consumed.  :meth:`run`'s fast path inlines this body and
+        must stay semantically identical to it.
         """
-        entry = self._queue.pop()
-        if entry is None:
-            raise EmptySchedule("no events scheduled")
-        return entry
+        if event._value is _PENDING:
+            # Auto-firing event (Timeout): materialise its value now.
+            event._ok = True
+            event._value = event._fire_value
+
+        callbacks = event.callbacks
+        event.callbacks = None
+        event._processed = True
+        if dispatch is None:
+            for callback in callbacks:
+                callback(event)
+        else:
+            dispatch(event, callbacks)
+
+        if not event._ok and not event._defused:
+            raise event._value
 
     def step(self) -> None:
         """Process exactly one event.
@@ -196,25 +218,18 @@ class Environment:
         Raises :class:`EmptySchedule` when the schedule is empty, and
         re-raises the exception of any *failed* event that no process
         consumed (an uncaught failure anywhere in the simulation should
-        crash the run loudly, never vanish).
+        crash the run loudly, never vanish).  Pops through
+        :meth:`CalendarQueue.pop`, the single-step form of the very walk
+        :meth:`run` batch-drains (pinned by
+        ``tests/sim/test_calendar.py::test_step_matches_run``).
         """
-        when, _prio, _seq, event = self._pop_next()
+        entry = self._queue.pop()
+        if entry is None:
+            raise EmptySchedule("no events scheduled")
+        when, _prio, _seq, event = entry
         self._now = when
         self.events_processed += 1
-
-        if event._value is _PENDING:
-            # Auto-firing event (Timeout): materialise its value now.
-            event._ok = True
-            event._value = getattr(event, "_fire_value", None)
-
-        callbacks = event.callbacks
-        event.callbacks = None  # late add_callback() now runs synchronously
-        event._processed = True
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            raise event._value
+        self._fire(event)
 
     def run(
         self,
@@ -228,7 +243,7 @@ class Environment:
         ``None`` (run the schedule dry).  ``max_events`` bounds the number of
         processed events as a runaway guard.
 
-        The loop body is :meth:`step` inlined with the calendar queue's
+        The loop body is :meth:`_fire` inlined with the calendar queue's
         drain cursor held in locals, plus **batch draining**: every event
         tied at the current ``(time, priority)`` is consumed by one inner
         walk over the sorted current bucket — same-timestamp delivery
@@ -236,26 +251,17 @@ class Environment:
         (``benchmarks/bench_kernel.py --workload message-storm`` measures
         exactly this).  Ties created *during* the batch (zero-delay
         cascades) insert into the live tail and are swept up by the same
-        walk.  :meth:`step` remains the reference implementation for
-        single-step callers; the two must stay semantically identical.
+        walk.  A profiler or controller sends the run through
+        :meth:`_run_instrumented` instead, which must process the same
+        event sequence (a pass-through controller and the profiler are
+        pinned byte-identical to this loop).
         """
-        if self.profiler is not None:
-            # Single additive guard: profiled runs take a separate copy
-            # of the loop so the unprofiled path below stays untouched.
-            return self._run_profiled(until, max_events)
-        if self.controller is not None:
-            # Same additive pattern: controlled (explored) runs take
-            # their own copy of the loop; the fast path stays untouched.
-            return self._run_controlled(until, max_events)
-
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} is in the past (now={self._now})")
+        stop_event, stop_time = self._parse_until(until)
+        if self.profiler is not None or self.controller is not None:
+            # Single additive guard: instrumented runs take the per-event
+            # loop, so the uninstrumented path below stays untouched.
+            self._run_instrumented(stop_event, stop_time, max_events)
+            return self._finish(stop_event, stop_time)
 
         queue = self._queue
         advance = queue._advance
@@ -328,7 +334,23 @@ class Environment:
                 processed += cpos - base
         finally:
             self.events_processed = processed
+        return self._finish(stop_event, stop_time)
 
+    def _parse_until(
+        self, until: Optional[float | Event]
+    ) -> "tuple[Optional[Event], float]":
+        """Split run()'s ``until`` into ``(stop_event, stop_time)``."""
+        if isinstance(until, Event):
+            return until, float("inf")
+        if until is None:
+            return None, float("inf")
+        stop_time = float(until)
+        if stop_time < self._now:
+            raise ValueError(f"until={stop_time} is in the past (now={self._now})")
+        return None, stop_time
+
+    def _finish(self, stop_event: Optional[Event], stop_time: float) -> Any:
+        """run()'s result: the stop event's value, or None for a horizon."""
         if stop_event is not None:
             if not stop_event.triggered:
                 raise SimulationError(
@@ -337,196 +359,80 @@ class Environment:
             if not stop_event.ok:
                 raise stop_event.value
             return stop_event.value
-        if until is not None and stop_time != float("inf") and self._now < stop_time:
+        if stop_time != float("inf") and self._now < stop_time:
             # Schedule ran dry before the horizon: advance to it for callers
             # that compute rates over the requested window.
             self._now = stop_time
         return None
 
-    def _run_profiled(
+    def _run_instrumented(
         self,
-        until: Optional[float | Event] = None,
-        max_events: Optional[int] = None,
-    ) -> Any:
-        """The run loop with kernel-profiler accounting.
+        stop_event: Optional[Event],
+        stop_time: float,
+        max_events: Optional[int],
+    ) -> None:
+        """The per-event run loop, taken when a profiler or a schedule
+        controller is installed; it honours both when both are.
 
-        Must stay semantically identical to :meth:`run`: the profiler
-        only counts (and, in wall mode, meters host time around)
-        callback dispatches plus batch-drain shape — it never touches
-        the schedule, so the processed event sequence is byte-identical
-        to an unprofiled run.
+        Semantically :meth:`run` one pop at a time, with two optional
+        hooks:
+
+        * the **controller** (:class:`ScheduleController`) picks which
+          entry of the ready tie slice runs, or defers one of them.  The
+          ready set materialises as one contiguous slice of the calendar
+          queue's sorted current bucket — a bucket scan, not repeated
+          pops; a controller that always returns ``0`` reproduces the
+          uncontrolled schedule event-for-event (pinned in the
+          equivalence tests);
+        * the **profiler** (:class:`repro.prof.KernelProfiler`) tallies
+          batches — a change of ``(when, prio)`` from the previous pop,
+          reset at each call — and meters callback dispatch.  It never
+          touches the schedule.
+
+        The per-event body is :meth:`_fire`, shared with :meth:`step`.
         """
-        from repro.prof.kernel import site_of  # lazy: only profiled runs
-
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} is in the past (now={self._now})")
-
         prof = self.profiler
-        counts = prof.counts
-        event_counts = prof.event_counts
-        wall_ns = prof.wall_ns
-        clock = prof.clock
-        queue = self._queue
-        advance = queue._advance
-        processed_at_start = self.events_processed
-        processed = self.events_processed
-        prof_events = prof.events
-        prof_batches = prof.batches
-        prof_max_batch = prof.max_batch
-        try:
-            while advance():
-                if stop_event is not None and stop_event._processed:
-                    break
-                cur = queue._current
-                cpos = queue._cpos
-                head = cur[cpos]
-                when = head[0]
-                if when > stop_time:
-                    self._now = stop_time
-                    break
-                prio = head[1]
-                self._now = when
-                prof_batches += 1
-                batch_size = 0
-                while True:
-                    if (
-                        max_events is not None
-                        and processed - processed_at_start >= max_events
-                    ):
-                        raise SimulationError(f"exceeded max_events={max_events}")
-
-                    event = cur[cpos][3]
-                    cpos += 1
-                    queue._cpos = cpos
-                    processed += 1
-                    prof_events += 1
-                    batch_size += 1
-                    kind = type(event).__name__
-                    event_counts[kind] = event_counts.get(kind, 0) + 1
-
-                    if event._value is _PENDING:
-                        event._ok = True
-                        event._value = event._fire_value
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if clock is not None:
-                        for callback in callbacks:
-                            key = (kind, site_of(callback))
-                            counts[key] = counts.get(key, 0) + 1
-                            t0 = clock()
-                            callback(event)
-                            wall_ns[key] = wall_ns.get(key, 0) + clock() - t0
-                    else:
-                        for callback in callbacks:
-                            key = (kind, site_of(callback))
-                            counts[key] = counts.get(key, 0) + 1
-                            callback(event)
-
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    if stop_event is not None and stop_event._processed:
-                        break
-                    if cpos < len(cur):
-                        nxt = cur[cpos]
-                        if nxt[0] == when and nxt[1] == prio:
-                            continue
-                    break
-                if batch_size > prof_max_batch:
-                    prof_max_batch = batch_size
-        finally:
-            self.events_processed = processed
-            prof.events = prof_events
-            prof.batches = prof_batches
-            prof.max_batch = prof_max_batch
-
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError(
-                    "run(until=event) exhausted the schedule before the event fired"
-                )
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-        if until is not None and stop_time != float("inf") and self._now < stop_time:
-            self._now = stop_time
-        return None
-
-    def _run_controlled(
-        self,
-        until: Optional[float | Event] = None,
-        max_events: Optional[int] = None,
-    ) -> Any:
-        """The run loop with schedule-controller choice points.
-
-        Semantically :meth:`run` with two extra degrees of freedom at
-        every pop, both exposed through :class:`ScheduleController`:
-        the tie-break among entries at the minimal ``(time, priority)``
-        becomes an explicit choice, and any ready entry may be deferred
-        by a positive delay (a bounded message-delay jitter).  The ready
-        set materialises as one contiguous slice of the calendar queue's
-        sorted current bucket — a bucket scan, not repeated heap pops.
-        A controller that always returns ``0`` reproduces the
-        uncontrolled schedule event-for-event (pinned in the equivalence
-        tests).
-        """
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} is in the past (now={self._now})")
-
         controller = self.controller
-        assert controller is not None
+        dispatch = None
+        if prof is not None:
+            prof.begin_run()
+            dispatch = prof.dispatch
         queue = self._queue
-        advance = queue._advance
-        processed_at_start = self.events_processed
-        processed = self.events_processed
-        try:
-            while advance():
-                if stop_event is not None and stop_event._processed:
-                    break
-                cur = queue._current
-                cpos = queue._cpos
-                head = cur[cpos]
-                when = head[0]
-                if when > stop_time:
-                    self._now = stop_time
-                    break
-                if (
-                    max_events is not None
-                    and processed - processed_at_start >= max_events
-                ):
-                    raise SimulationError(f"exceeded max_events={max_events}")
+        limit = float("inf")
+        if max_events is not None:
+            limit = self.events_processed + max_events
+        while queue._advance():
+            if stop_event is not None and stop_event._processed:
+                break
+            cur = queue._current
+            cpos = queue._cpos
+            when, prio, _seq, event = cur[cpos]
+            if when > stop_time:
+                self._now = stop_time
+                break
+            self._now = when
+            if self.events_processed >= limit:
+                raise SimulationError(f"exceeded max_events={max_events}")
 
+            if controller is None:
+                queue._cpos = cpos + 1
+            else:
                 # Materialise the ready set: the contiguous run of
                 # entries tied at the minimal (time, priority).  The
                 # current bucket is sorted, and a tie class can never
                 # straddle a bucket boundary (equal times share one
                 # bucket) or reach into the far heap, so the slice IS
-                # the complete tie — no repeated pop/push.  It is
-                # detached from the schedule while the controller
-                # deliberates, exactly like the heap build popped it.
-                prio = head[1]
+                # the complete tie.  It is detached from the schedule
+                # while the controller deliberates.
                 j = cpos + 1
                 n = len(cur)
                 while j < n and cur[j][0] == when and cur[j][1] == prio:
                     j += 1
                 ready = cur[cpos:j]
                 del cur[cpos:j]
-                next_time = queue.next_time()
-
-                choice = controller.select(self, when, prio, ready, next_time)
+                choice = controller.select(
+                    self, when, prio, ready, queue.next_time()
+                )
                 if isinstance(choice, tuple):
                     kind, index, delta = choice
                     if kind != "defer" or not delta > 0.0:
@@ -536,39 +442,15 @@ class Environment:
                     deferred = ready.pop(index)
                     self._seq += 1
                     queue.push((when + delta, prio, self._seq, deferred[3]))
-                    for entry in ready:
-                        queue.push(entry)
-                    continue
-
-                when, _prio, _seq, event = ready.pop(choice)
+                    event = None
+                else:
+                    event = ready.pop(choice)[3]
                 for entry in ready:
                     queue.push(entry)
-                self._now = when
-                processed += 1
+                if event is None:
+                    continue
 
-                if event._value is _PENDING:
-                    event._ok = True
-                    event._value = event._fire_value
-
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                for callback in callbacks:
-                    callback(event)
-
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self.events_processed = processed
-
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError(
-                    "run(until=event) exhausted the schedule before the event fired"
-                )
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-        if until is not None and stop_time != float("inf") and self._now < stop_time:
-            self._now = stop_time
-        return None
+            self.events_processed += 1
+            if prof is not None:
+                prof.tally(when, prio)
+            self._fire(event, dispatch)

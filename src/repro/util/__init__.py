@@ -1,7 +1,6 @@
-"""Shared utilities: Bloom filter, online estimators, histograms."""
+"""Shared utilities: online estimators, histograms."""
 
-from repro.util.bloom import BloomFilter
 from repro.util.stats import Ewma, OnlineQuantile
 from repro.util.histogram import Histogram
 
-__all__ = ["BloomFilter", "Ewma", "Histogram", "OnlineQuantile"]
+__all__ = ["Ewma", "Histogram", "OnlineQuantile"]

@@ -80,6 +80,15 @@ def test_prof_config_preserves_the_pin(prof):
         # every processed kernel event was attributed
         assert snap["events"] == result.sim_events
         assert snap["mode"] == "counters"
+        # batch shape and per-kind mix, recorded before profiler and
+        # controller shared one kernel loop (simbench's sim.mean_batch)
+        assert (snap["events"], snap["batches"], snap["max_batch"]) == (
+            23149, 14851, 12,
+        )
+        assert snap["by_event"] == {
+            "AllOf": 686, "AnyOf": 6, "Event": 7320, "Process": 5131,
+            "Timeout": 10006,
+        }
     else:
         assert "prof" not in result.extra
 
@@ -126,7 +135,7 @@ def test_default_controller_is_off_and_pin_holds():
 def test_passthrough_controller_is_byte_identical():
     """A controller that always returns 0 must reproduce the
     uncontrolled schedule event-for-event — the explorer's soundness
-    rests on the controlled loop being a faithful copy of run()."""
+    rests on the instrumented loop processing the same events as run()."""
     import itertools
 
     from repro.core.cluster import Cluster

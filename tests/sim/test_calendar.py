@@ -6,15 +6,17 @@ tuple order no matter how entries land in buckets, migrate from the
 far-future overflow heap, or get redistributed by a self-tuning resize.
 These tests drive the structure through its structural edge cases
 (bucket rotation across empty bands, far-future overflow, flash-crowd
-resize) and pin the kernel-level equivalences the ISSUE requires:
-``step()`` against the batch-draining ``run()``, and a pass-through
-``ScheduleController`` against the default loop.
+resize) and pin the kernel-level equivalences: ``step()`` against the
+batch-draining ``run()``, and the instrumented per-event loop (a
+pass-through ``ScheduleController``, a ``KernelProfiler``, or both
+together) against the default loop.
 """
 
 import random
 
 import pytest
 
+from repro.prof import KernelProfiler
 from repro.sim import Environment, ScheduleController, SimulationError
 from repro.sim.calendar import CalendarQueue
 from repro.sim.events import PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW
@@ -242,7 +244,7 @@ class TestEntriesAndLen:
 
 
 class TestKernelEquivalence:
-    """The ISSUE's byte-identity pins at the Environment level."""
+    """Byte-identity pins at the Environment level."""
 
     @staticmethod
     def _storm(env, node, log):
@@ -261,8 +263,10 @@ class TestKernelEquivalence:
         log = []
         for node in range(12):
             env.process(cls._storm(env, node, log), name=f"n{node}")
-        if mode == "controller":
+        if "controller" in mode:
             env.controller = ScheduleController()
+        if "profiler" in mode:
+            KernelProfiler().install(env)
         if mode == "step":
             from repro.sim.core import EmptySchedule
 
@@ -283,10 +287,47 @@ class TestKernelEquivalence:
         assert self._run_storm("step") == self._run_storm("run")
 
     def test_passthrough_controller_matches_run(self):
-        # The controlled loop materialises ready sets as bucket-slice
+        # The instrumented loop materialises ready sets as bucket-slice
         # scans; a default controller must reproduce the uncontrolled
         # schedule event-for-event.
         assert self._run_storm("controller") == self._run_storm("run")
+
+    @pytest.mark.parametrize("mode", ["profiler", "profiler+controller"])
+    def test_instrumented_loop_matches_run_and_step(self, mode):
+        # Profiler and controller share one instrumented loop; alone or
+        # together they leave the processed event sequence untouched.
+        run = self._run_storm("run")
+        assert self._run_storm(mode) == run == self._run_storm("step")
+
+    def test_controller_is_consulted_with_a_profiler_installed(self):
+        class PickLast(ScheduleController):
+            def __init__(self):
+                self.calls = 0
+
+            def select(self, env, when, priority, ready, next_time):
+                # Reverse the t=1 timeouts only: reversing the t=0
+                # bootstraps as well would cancel out.
+                self.calls += 1
+                return len(ready) - 1 if when > 0 else 0
+
+        def tied(env, tag, order):
+            yield env.timeout(1.0)
+            order.append(tag)
+
+        orders = {}
+        for mode in ("plain", "controlled"):
+            env = Environment()
+            order = orders[mode] = []
+            for tag in "abc":
+                env.process(tied(env, tag, order), name=tag)
+            prof = KernelProfiler().install(env)
+            if mode == "controlled":
+                controller = env.controller = PickLast()
+            env.run()
+            assert prof.events == env.events_processed
+        assert controller.calls > 0
+        assert orders["plain"] == ["a", "b", "c"]
+        assert orders["controlled"] == ["c", "b", "a"]
 
     def test_urgent_push_breaks_a_same_time_batch(self):
         # A process spawned from inside a callback schedules its
