@@ -1,23 +1,28 @@
 """Node runtime: message dispatch, request/reply plumbing, clock handling.
 
 A :class:`Node` is the per-machine container.  Protocol layers (the TM
-proxy, directory shard, scheduler) register handlers per
+proxy, directory shard, scheduler) register one plain callback per
 :class:`~repro.net.message.MessageType`; the node delivers each inbound
 message to its handler after advancing the local TFA clock to the
 piggybacked value — the clock-propagation rule TFA relies on.
+
+A positive ``msg_process_time`` queues inbound messages behind a serial
+server: a FIFO plus one pending completion callback, so a remote message
+costs two kernel events (link + service) and starts no process.
 
 The :meth:`Node.request` helper implements blocking RPC for process code::
 
     reply = yield from node.request(dst, MessageType.DIR_LOOKUP, {"oid": oid})
 
-Replies are matched on ``reply_to``; an optional timeout turns a lost/slow
-reply into :class:`RpcError` (the simulated network is reliable, so in
-practice timeouts only fire when a peer deliberately withholds a reply —
-which the RTS backoff path exercises).
+Replies are matched on ``reply_to``.  Without a ``policy`` the caller
+waits for the reply indefinitely; with a :class:`repro.rpc.RetryPolicy`
+each attempt waits one window and the last expiry raises
+:class:`RpcError` — the path fault injection (drops, crashes) exercises.
 """
 
 from __future__ import annotations
 
+import inspect
 from collections import deque
 from typing import Any, Callable, Dict, Generator, Optional
 
@@ -57,8 +62,8 @@ class Node:
         #: with retries pay for it — the "additional requests incur more
         #: contention" effect of the paper (§IV-C).
         self.msg_process_time = float(msg_process_time)
+        #: (arrival time, message) FIFO; the head is in service
         self._inbox: deque = deque()
-        self._server_busy = False
         #: total messages processed and cumulative queueing delay
         self.messages_processed = 0
         self.total_queueing_delay = 0.0
@@ -71,7 +76,16 @@ class Node:
     # -- handler registry -------------------------------------------------------
 
     def on(self, mtype: MessageType, handler: Handler) -> None:
-        """Register ``handler`` for ``mtype`` (one handler per type)."""
+        """Register ``handler`` for ``mtype`` (one handler per type).
+
+        Handlers are plain callbacks; one that must block spawns its own
+        process.  A generator function would never run, so it is refused.
+        """
+        # co_flags, not inspect.isgeneratorfunction: 3x cheaper at set-up
+        code = getattr(handler, "__code__", None)
+        if code is not None and code.co_flags & inspect.CO_GENERATOR:
+            raise TypeError(f"node {self.node_id}: {mtype} handler is a "
+                            f"generator function, not a plain callback")
         if mtype in self._handlers:
             raise ValueError(f"node {self.node_id}: handler for {mtype} already set")
         self._handlers[MessageType(mtype)] = handler
@@ -88,19 +102,18 @@ class Node:
             self._dispatch(msg)
             return
         self._inbox.append((self.env.now, msg))
-        if not self._server_busy:
-            self._server_busy = True
-            self.env.process(self._serve(), name=f"n{self.node_id}.inbox")
+        if len(self._inbox) == 1:
+            self.env.timeout(self.msg_process_time).add_callback(self._served)
 
-    def _serve(self):
-        """Serial message server: one message per service period."""
-        while self._inbox:
-            arrived, msg = self._inbox.popleft()
-            yield self.env.timeout(self.msg_process_time)
-            self.messages_processed += 1
-            self.total_queueing_delay += self.env.now - arrived
-            self._dispatch(msg)
-        self._server_busy = False
+    def _served(self, _event) -> None:
+        """The head's service period ended: dispatch it, arm the next."""
+        arrived, msg = self._inbox[0]
+        self.messages_processed += 1
+        self.total_queueing_delay += self.env.now - arrived
+        self._dispatch(msg)
+        self._inbox.popleft()
+        if self._inbox:
+            self.env.timeout(self.msg_process_time).add_callback(self._served)
 
     def _dispatch(self, msg: Message) -> None:
         # TFA rule: advance the local transactional clock to any larger
@@ -127,10 +140,7 @@ class Node:
                 f"node {self.node_id} has no handler for {msg.mtype} "
                 f"(message {msg!r})"
             )
-        result = handler(msg)
-        if result is not None and hasattr(result, "send"):
-            # Handlers may be generator functions: run them as processes.
-            self.env.process(result, name=f"n{self.node_id}.{msg.mtype.value}")
+        handler(msg)
 
     # -- outbound ------------------------------------------------------------------
 
@@ -179,14 +189,13 @@ class Node:
         dst: int,
         mtype: MessageType,
         payload: Optional[dict] = None,
-        reply_timeout: Optional[float] = None,
         policy: Optional[Any] = None,
         on_timeout: Optional[Callable[[int, float, bool], None]] = None,
     ) -> Generator[Any, Any, Message]:
         """Blocking RPC (generator; use with ``yield from``).
 
-        Returns the reply :class:`Message`; raises :class:`RpcError` if
-        ``reply_timeout`` elapses first.
+        Returns the reply :class:`Message`.  Without a ``policy`` it waits
+        for the reply indefinitely.
 
         With a ``policy`` (a :class:`repro.rpc.RetryPolicy`) this is THE
         retry loop of the whole stack: each attempt re-sends the request
@@ -194,8 +203,8 @@ class Node:
         growing window is the backoff — until a reply lands or every
         attempt is exhausted (:class:`RpcError`).  ``on_timeout(attempt,
         window, will_retry)`` is invoked after each expired window so
-        callers can count/trace retries without owning the loop.
-        ``reply_timeout`` is ignored when a policy is given.
+        callers can count/trace retries without owning the loop.  A
+        single bounded wait is ``RetryPolicy(timeout=t, max_retries=0)``.
         """
         if policy is not None:
             attempts = policy.max_retries + 1
@@ -218,18 +227,8 @@ class Node:
         msg = self.send(dst, mtype, payload)
         waiter = self.env.event()
         self._pending_replies[msg.msg_id] = waiter
-        if reply_timeout is None:
-            reply = yield waiter
-            return reply
-        expiry = self.env.timeout(reply_timeout)
-        outcome = yield (waiter | expiry)
-        if waiter in outcome:
-            return outcome[waiter]
-        self._pending_replies.pop(msg.msg_id, None)
-        raise RpcError(
-            f"node {self.node_id}: no reply to {mtype.value} from node {dst} "
-            f"within {reply_timeout}"
-        )
+        reply = yield waiter
+        return reply
 
     # -- local time -------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import Message, MessageType, Network, Node, RpcError, Topology
 from repro.net.topology import TopologyKind
+from repro.rpc import RetryPolicy
 from repro.sim import Environment, RngRegistry, Tracer
 
 
@@ -14,6 +15,10 @@ def net(env):
     network = Network(env, topo, tracer=Tracer(enabled=True))
     nodes = [Node(env, network, i) for i in range(4)]
     return network, nodes
+
+
+#: one bounded reply window, no retries
+ONE_WINDOW = RetryPolicy(timeout=0.01, max_retries=0)
 
 
 class TestTransport:
@@ -119,7 +124,7 @@ class TestRpc:
 
         def client(env):
             with pytest.raises(RpcError):
-                yield from nodes[0].request(1, MessageType.PING, reply_timeout=0.01)
+                yield from nodes[0].request(1, MessageType.PING, policy=ONE_WINDOW)
             return True
 
         p = env.process(client(env))
@@ -143,7 +148,7 @@ class TestRpc:
 
         def client(env):
             try:
-                yield from nodes[0].request(1, MessageType.PING, reply_timeout=0.01)
+                yield from nodes[0].request(1, MessageType.PING, policy=ONE_WINDOW)
             except RpcError:
                 pass
 
@@ -151,18 +156,17 @@ class TestRpc:
         env.run()
         assert late == ["late"]
 
-    def test_generator_handler_runs_as_process(self, env, net):
+    def test_generator_handler_rejected_at_registration(self, env, net):
+        """Handlers are plain callbacks: a generator function would build a
+        generator nobody drives, so ``on`` refuses it loudly."""
         network, nodes = net
-        done = []
 
         def gen_handler(msg):
             yield env.timeout(0.5)
-            done.append(env.now)
 
-        nodes[1].on(MessageType.PING, gen_handler)
-        nodes[0].send(1, MessageType.PING)
-        env.run()
-        assert done and done[0] == pytest.approx(network.topology.delay(0, 1) + 0.5)
+        with pytest.raises(TypeError, match="generator function"):
+            nodes[1].on(MessageType.PING, gen_handler)
+        assert MessageType.PING not in nodes[1]._handlers
 
     def test_duplicate_handler_registration_rejected(self, env, net):
         network, nodes = net

@@ -44,7 +44,19 @@ class TestSerialServer:
         # All five arrive together but dispatch 10ms apart.
         gaps = [b - a for a, b in zip(seen, seen[1:])]
         assert all(g == pytest.approx(0.01) for g in gaps)
-        assert nodes[2].total_queueing_delay > 0.01 * 4
+        # Waits of 1..5 service periods: 0.01 + 0.02 + ... + 0.05.
+        assert nodes[2].total_queueing_delay == pytest.approx(0.15)
+
+    def test_burst_costs_one_service_event_per_message(self, env):
+        """The server is a completion-callback chain, not a process: a
+        5-message burst is 5 link Timeouts plus 5 service Timeouts."""
+        net, nodes = build(env, msg_process_time=0.01)
+        nodes[2].on(MessageType.PING, lambda m: None)
+        for _ in range(5):
+            nodes[0].send(2, MessageType.PING)
+        env.run()
+        assert nodes[2].messages_processed == 5
+        assert env.events_processed == 10
 
     def test_server_idles_and_restarts(self, env):
         net, nodes = build(env, msg_process_time=0.005)
