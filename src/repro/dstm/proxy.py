@@ -325,7 +325,7 @@ class TMProxy:
 
         Delegates to the node's :class:`~repro.rpc.RpcClient` — the
         substrate owns the tracing/metrics and (via
-        :meth:`~repro.net.node.Node.request`) the single retry loop.
+        :meth:`~repro.net.node.Node.gather`) the single retry loop.
         Without a policy (fault-free build) the call is a plain blocking
         wait, no timeout events; with one, a peer silent through every
         growing-timeout attempt surfaces as

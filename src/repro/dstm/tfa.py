@@ -39,7 +39,7 @@ from repro.dstm.errors import (
 from repro.dstm.objects import ObjectMode, ObjectState, home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.transaction import NestingModel, ReadEntry, Transaction, TxStatus
-from repro.net.message import MessageType
+from repro.net.message import Message, MessageType
 
 __all__ = ["TFAEngine"]
 
@@ -232,7 +232,8 @@ class TFAEngine:
         ``own`` — exclusively acquired by the *validating transaction
         itself*, whose versions therefore cannot move — are checked
         locally; everything else queries its home in parallel (one
-        fan-out — the cost model of distributed validation).
+        ``call_all`` fan-out joined on a single event — the cost model of
+        distributed validation).
         """
         own = own or set()
         results: Dict[int, Optional[bool]] = {}
@@ -245,35 +246,30 @@ class TFAEngine:
                 remote.append((idx, oid, version))
 
         if remote:
-            events = []
-            for idx, oid, version in remote:
-                home = home_node(oid, self.node.network.num_nodes)
-                events.append(
-                    self._one_validate(home, oid, version)
-                )
-            procs = [self.env.process(gen, name="validate") for gen in events]
-            answers = yield self.env.all_of(procs)
-            for (idx, _oid, _version), proc in zip(remote, procs):
-                answer = answers[proc]
-                results[idx] = None if answer is None else bool(answer)
-        return [results[i] for i in range(len(pairs))]
+            num_nodes = self.node.network.num_nodes
+            note_version = self.proxy.owner_hints.note_version
 
-    def _one_validate(
-        self, home: int, oid: str, version: int
-    ) -> Generator[Any, Any, Optional[bool]]:
-        try:
-            reply = yield from self.proxy.rpc(
-                home, MessageType.READ_VALIDATE, {"oid": oid, "version": version}
+            def fence(i: int, reply: Optional[Message]) -> None:
+                # The reply names the registered version: a lookup-cache
+                # entry learned at an older version is provably stale —
+                # fence it so the next open asks the directory (no-op in
+                # hint mode).
+                if reply is not None:
+                    note_version(
+                        remote[i][1], reply.payload.get("registered_version")
+                    )
+
+            replies = yield self.proxy.rpc_client.call_all(
+                "read_validate",
+                [(home_node(oid, num_nodes), {"oid": oid, "version": version})
+                 for _idx, oid, version in remote],
+                on_reply=fence,
             )
-        except OwnerUnreachable:
-            return None
-        # The reply names the registered version: a lookup-cache entry
-        # learned at an older version is provably stale — fence it so the
-        # next open asks the directory (no-op in hint mode).
-        self.proxy.owner_hints.note_version(
-            oid, reply.payload.get("registered_version")
-        )
-        return bool(reply.payload["valid"])
+            for (idx, _oid, _version), reply in zip(remote, replies):
+                results[idx] = (
+                    None if reply is None else bool(reply.payload["valid"])
+                )
+        return [results[i] for i in range(len(pairs))]
 
     # ------------------------------------------------------------------
     # Nested transactions
@@ -409,38 +405,56 @@ class TFAEngine:
             #    validation sound: any concurrent validator of an object
             #    we are committing now observes the advanced version and
             #    fails, which closes the write-skew window two crossing
-            #    read/write commits would otherwise have.
+            #    read/write commits would otherwise have.  One fan-out:
+            #    every home is asked at once, one join waits for the acks.
+            #    ``txid`` identifies this commit *attempt*: a later
+            #    withdraw only cancels the registration carrying the same
+            #    txid, so a duplicated or late withdraw can never roll back
+            #    a different (successful) registration by the same owner.
             old_versions = {oid: self.proxy.store[oid].version for oid in root.wset}
             new_versions = {oid: v + 1 for oid, v in old_versions.items()}
             order = sorted(root.wset)
-            procs = []
-            for oid in order:
-                home = home_node(oid, self.node.network.num_nodes)
-                procs.append(
-                    self.env.process(
-                        self._register(home, oid, new_versions[oid], root.txid),
-                        name=f"n{self.node.node_id}.register",
+            num_nodes = self.node.network.num_nodes
+            note_version = self.proxy.owner_hints.note_version
+
+            def refresh(i: int, reply: Optional[Message]) -> None:
+                # A fenced registration ack is authoritative: it names the
+                # real owner and version — refresh the lookup cache with it
+                # (no-op in hint mode).
+                if reply is None:
+                    return
+                ack = reply.payload
+                if not ack.get("ok", True) and ack.get("registered_owner") is not None:
+                    note_version(
+                        order[i], ack.get("registered_version"),
+                        owner=ack["registered_owner"],
                     )
-                )
-            answers = yield self.env.all_of(procs)
+
+            replies = yield self.proxy.rpc_client.call_all(
+                "dir_update",
+                [(home_node(oid, num_nodes),
+                  {"oid": oid, "owner": self.node.node_id,
+                   "version": new_versions[oid], "txid": root.txid})
+                 for oid in order],
+                on_reply=refresh,
+            )
             registered = True
 
             # 2b. Inspect the acks (no-ops in the fault-free build, where
             #     every ack is ok).  A *fenced* registration means a lease
             #     reclaim or competing recovery superseded the copy while
             #     we held it: the copy is stale — drop it and abort.  An
-            #     *unreachable* home leaves the registration unknown:
-            #     also abort; the withdraws in the except-arm roll back
-            #     whatever did land.
-            for oid, proc in zip(order, procs):
-                ack = answers[proc] or {}
-                if ack.get("ok", True):
-                    continue
-                if ack.get("unreachable"):
+            #     *unreachable* home (no reply) leaves the registration
+            #     unknown: also abort; the withdraws in the except-arm roll
+            #     back whatever did land.
+            for oid, reply in zip(order, replies):
+                if reply is None:
                     raise TransactionAborted(
                         root, AbortReason.OWNER_FAILURE, oid=oid,
                         detail="registration home unreachable",
                     )
+                if reply.payload.get("ok", True):
+                    continue
                 self.proxy.discard_object(oid)
                 raise TransactionAborted(
                     root, AbortReason.OWNER_FAILURE, oid=oid,
@@ -517,36 +531,6 @@ class TFAEngine:
         self._finalize_commit(root)
         if span_on:
             tracer.emit(self.env.now, "span.phase", txid, phase="commit", edge="E")
-
-    def _register(
-        self, home: int, oid: str, version: int, txid: str
-    ) -> Generator[Any, Any, Dict[str, Any]]:
-        """One commit-time ownership registration; returns the ack payload
-        (synthesises a failure ack when the home is unreachable).
-
-        ``txid`` identifies this commit *attempt*: a later withdraw only
-        cancels the registration carrying the same txid, so a duplicated
-        or late withdraw can never roll back a different (successful)
-        registration by the same owner.
-        """
-        try:
-            reply = yield from self.proxy.rpc(
-                home, MessageType.DIR_UPDATE,
-                {"oid": oid, "owner": self.node.node_id, "version": version,
-                 "txid": txid},
-            )
-        except OwnerUnreachable:
-            return {"oid": oid, "ok": False, "unreachable": True}
-        ack = reply.payload
-        if not ack.get("ok", True) and ack.get("registered_owner") is not None:
-            # A fenced registration ack is authoritative: it names the
-            # real owner and version — refresh the lookup cache with it
-            # (no-op in hint mode).
-            self.proxy.owner_hints.note_version(
-                oid, ack.get("registered_version"),
-                owner=ack["registered_owner"],
-            )
-        return ack
 
     def _withdraw_registrations(
         self, old_versions: Dict[str, int], txid: str

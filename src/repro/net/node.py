@@ -10,25 +10,33 @@ A positive ``msg_process_time`` queues inbound messages behind a serial
 server: a FIFO plus one pending completion callback, so a remote message
 costs two kernel events (link + service) and starts no process.
 
-The :meth:`Node.request` helper implements blocking RPC for process code::
+Requests fan out through :meth:`Node.gather`: it sends every
+``(dst, payload)`` at once and returns one event that succeeds with the
+replies in call order.  Each outstanding call is a :class:`_Call` parked
+in ``_pending_replies`` under its message id; replies are matched on
+``reply_to``, fill their slot, and the last one triggers the join — no
+process per call.  Without a ``policy`` a call waits for its reply
+indefinitely; with a :class:`repro.rpc.RetryPolicy` each attempt arms one
+expiry whose callback re-sends on the next window or, after the last
+attempt, settles the slot as ``None``.  That callback is the stack's one
+retry loop, exercised by fault injection (drops, crashes).
+
+:meth:`Node.request` is the blocking one-call form for process code::
 
     reply = yield from node.request(dst, MessageType.DIR_LOOKUP, {"oid": oid})
 
-Replies are matched on ``reply_to``.  Without a ``policy`` the caller
-waits for the reply indefinitely; with a :class:`repro.rpc.RetryPolicy`
-each attempt waits one window and the last expiry raises
-:class:`RpcError` — the path fault injection (drops, crashes) exercises.
+and raises :class:`RpcError` when the peer stayed silent.
 """
 
 from __future__ import annotations
 
 import inspect
 from collections import deque
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 __all__ = ["Node", "RpcError"]
 
@@ -37,6 +45,86 @@ Handler = Callable[[Message], Any]
 
 class RpcError(RuntimeError):
     """A request did not complete (timeout)."""
+
+
+class _Fan:
+    """State one :meth:`Node.gather` shares across its calls."""
+
+    __slots__ = ("node", "mtype", "policy", "on_timeout", "on_reply",
+                 "replies", "remaining", "done")
+
+    def __init__(self, node, mtype, policy, on_timeout, on_reply, done) -> None:
+        self.node = node
+        self.mtype = mtype
+        self.policy = policy
+        self.on_timeout = on_timeout
+        self.on_reply = on_reply
+        #: reply per call, in call order (None until settled / if silent)
+        self.replies: List[Optional[Message]] = []
+        self.remaining = 0
+        self.done = done
+
+
+class _Call:
+    """One outstanding request of a fan-out, and its retry loop.
+
+    It waits in ``Node._pending_replies`` under the current attempt's
+    message id, where ``_dispatch`` fills it exactly like an event
+    (``triggered`` / ``succeed``).  Under a retry policy each attempt arms
+    one expiry :class:`~repro.sim.Timeout`; its callback re-sends on the
+    next (growing) window, or settles the call as ``None`` after the last.
+    """
+
+    __slots__ = ("fan", "index", "dst", "payload", "attempt", "msg_id",
+                 "triggered")
+
+    def __init__(self, fan: _Fan, index: int, dst: int,
+                 payload: Optional[dict]) -> None:
+        self.fan = fan
+        self.index = index
+        self.dst = dst
+        self.payload = payload
+        self.attempt = 0
+        self.triggered = False
+        self._send()
+
+    def _send(self) -> None:
+        fan = self.fan
+        node = fan.node
+        msg = node.send(self.dst, fan.mtype, self.payload)
+        self.msg_id = msg.msg_id
+        node._pending_replies[msg.msg_id] = self
+        if fan.policy is not None:
+            node.env.timeout(fan.policy.nth_timeout(self.attempt)).add_callback(
+                self._expired
+            )
+
+    def succeed(self, msg: Optional[Message]) -> None:
+        """Settle with the reply (``None``: silent through every attempt)."""
+        self.triggered = True
+        fan = self.fan
+        fan.replies[self.index] = msg
+        if fan.on_reply is not None:
+            fan.on_reply(self.index, msg)
+        fan.remaining -= 1
+        if not fan.remaining:
+            fan.done.succeed(fan.replies)
+
+    def _expired(self, _event: Event) -> None:
+        if self.triggered:
+            return
+        fan = self.fan
+        fan.node._pending_replies.pop(self.msg_id, None)
+        attempt = self.attempt
+        will_retry = attempt + 1 < fan.policy.attempts
+        if fan.on_timeout is not None:
+            fan.on_timeout(self.index, attempt,
+                           fan.policy.nth_timeout(attempt), will_retry)
+        if will_retry:
+            self.attempt = attempt + 1
+            self._send()
+        else:
+            self.succeed(None)
 
 
 class Node:
@@ -55,7 +143,7 @@ class Node:
         self.node_id = node_id
         self.clock = clock or NodeClock(node_id)
         self._handlers: Dict[MessageType, Handler] = {}
-        self._pending_replies: Dict[int, Any] = {}  # msg_id -> Event
+        self._pending_replies: Dict[int, _Call] = {}  # msg_id -> call
         #: per-message CPU service time of this node's proxy stack.  When
         #: positive, inbound messages queue behind each other (a serial
         #: server): hot nodes congest, so protocols that flood the network
@@ -184,6 +272,36 @@ class Node:
             to.src, mtype, payload, reply_to=to.msg_id, wire_bytes=wire_bytes
         )
 
+    def gather(
+        self,
+        mtype: MessageType,
+        calls: Iterable[Tuple[int, Optional[dict]]],
+        policy: Optional[Any] = None,
+        on_timeout: Optional[Callable[[int, int, float, bool], None]] = None,
+        on_reply: Optional[Callable[[int, Optional[Message]], None]] = None,
+    ) -> Event:
+        """Send ``mtype`` to every ``(dst, payload)`` now; join the replies.
+
+        Returns an event that succeeds once, with the replies in call
+        order; a reply is ``None`` when that peer stayed silent through
+        every attempt of ``policy`` (a :class:`repro.rpc.RetryPolicy`).
+        ``calls`` is consumed lazily, one send per item, so a caller can
+        trace each issue right before its send.  ``on_reply(index,
+        reply)`` runs as each call settles (at reply time, or after its
+        last expiry); ``on_timeout(index, attempt, window, will_retry)``
+        after each expired window.  Without a policy calls wait
+        indefinitely and arm no timeout.
+        """
+        done = self.env.event()
+        fan = _Fan(self, mtype, policy, on_timeout, on_reply, done)
+        for index, (dst, payload) in enumerate(calls):
+            fan.replies.append(None)
+            fan.remaining += 1
+            _Call(fan, index, dst, payload)
+        if not fan.remaining:
+            done.succeed(fan.replies)
+        return done
+
     def request(
         self,
         dst: int,
@@ -194,40 +312,25 @@ class Node:
     ) -> Generator[Any, Any, Message]:
         """Blocking RPC (generator; use with ``yield from``).
 
-        Returns the reply :class:`Message`.  Without a ``policy`` it waits
-        for the reply indefinitely.
-
-        With a ``policy`` (a :class:`repro.rpc.RetryPolicy`) this is THE
-        retry loop of the whole stack: each attempt re-sends the request
-        and awaits the reply under ``policy.nth_timeout(attempt)`` — the
-        growing window is the backoff — until a reply lands or every
-        attempt is exhausted (:class:`RpcError`).  ``on_timeout(attempt,
-        window, will_retry)`` is invoked after each expired window so
-        callers can count/trace retries without owning the loop.  A
-        single bounded wait is ``RetryPolicy(timeout=t, max_retries=0)``.
+        A one-call :meth:`gather`: returns the reply :class:`Message`,
+        waiting indefinitely without a ``policy``.  With one, each attempt
+        waits ``policy.nth_timeout(attempt)`` — the growing window is the
+        backoff — and a peer silent through every attempt raises
+        :class:`RpcError`.  ``on_timeout(attempt, window, will_retry)`` is
+        invoked after each expired window so callers can count/trace
+        retries without owning the loop.  A single bounded wait is
+        ``RetryPolicy(timeout=t, max_retries=0)``.
         """
-        if policy is not None:
-            attempts = policy.max_retries + 1
-            for attempt in range(attempts):
-                window = policy.nth_timeout(attempt)
-                msg = self.send(dst, mtype, payload)
-                waiter = self.env.event()
-                self._pending_replies[msg.msg_id] = waiter
-                expiry = self.env.timeout(window)
-                outcome = yield (waiter | expiry)
-                if waiter in outcome:
-                    return outcome[waiter]
-                self._pending_replies.pop(msg.msg_id, None)
-                if on_timeout is not None:
-                    on_timeout(attempt, window, attempt + 1 < attempts)
+        hook = None if on_timeout is None else (
+            lambda _index, attempt, window, will_retry:
+            on_timeout(attempt, window, will_retry)
+        )
+        (reply,) = yield self.gather(mtype, [(dst, payload)], policy, hook)
+        if reply is None:
             raise RpcError(
                 f"node {self.node_id}: no reply to {mtype.value} from node "
-                f"{dst} after {attempts} attempts"
+                f"{dst} after {policy.attempts} attempts"
             )
-        msg = self.send(dst, mtype, payload)
-        waiter = self.env.event()
-        self._pending_replies[msg.msg_id] = waiter
-        reply = yield waiter
         return reply
 
     # -- local time -------------------------------------------------------------------

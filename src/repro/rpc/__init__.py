@@ -6,8 +6,9 @@ Unifies what grew ad hoc across the stack into four small pieces:
   (``repro.faults.RpcPolicy`` is this class, re-exported);
 * :class:`Endpoint` / :data:`ENDPOINTS` / :func:`serve` — the typed
   request/response catalogue of every RPC in the D-STM protocol;
-* :class:`RpcClient` — the caller side: endpoint typing + the one retry
-  loop (hosted by :meth:`repro.net.node.Node.request`) + shared tracing
+* :class:`RpcClient` — the caller side: endpoint typing, blocking
+  ``call`` and fan-out ``call_all`` over :meth:`repro.net.node.Node.gather`
+  (whose callback-driven ``_Call`` is the one retry loop), shared tracing
   and metrics;
 * :class:`PiggybackBatcher` — per-link send coalescing (window > 0
   only; the default path is byte-identical to the unbatched build);

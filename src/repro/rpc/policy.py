@@ -6,8 +6,9 @@ awaited under a :class:`RetryPolicy`.  Before ``repro.rpc`` existed the
 growing-timeout logic was duplicated between ``faults/recovery.py`` (the
 knobs) and the call sites in ``net/node.py`` / ``dstm/proxy.py`` (the
 loops); both now delegate here — ``repro.faults.RpcPolicy`` *is* this
-class (re-exported), and :meth:`repro.net.node.Node.request` consumes it
-directly.
+class (re-exported), and :meth:`repro.net.node.Node.gather` consumes it
+directly: each outstanding ``_Call`` arms one expiry per attempt, whose
+callback re-sends or gives up — the stack's one retry loop.
 
 Retry semantics: attempt 0 waits ``timeout``; each subsequent attempt
 multiplies the wait by ``backoff_factor`` up to ``backoff_cap`` — the

@@ -95,3 +95,21 @@ class TestSerialServer:
 
         proc = env.process(client(env))
         assert env.run(until=proc) is True
+
+
+class TestGather:
+    def test_gather_joins_replies_without_a_process(self, env):
+        net, nodes = build(env, msg_process_time=0.003)
+        for node in nodes[1:]:
+            node.on(
+                MessageType.PING,
+                lambda m, node=node: node.reply(
+                    m, MessageType.PONG, {"from": node.node_id}
+                ),
+            )
+        done = nodes[0].gather(MessageType.PING, [(2, None), (1, None)])
+        env.run()
+        assert [r.payload["from"] for r in done.value] == [2, 1]
+        # 2 calls x (link + service, both ways) + the one join event
+        assert env.events_processed == 2 * 4 + 1
+        assert nodes[0]._pending_replies == {}

@@ -10,9 +10,12 @@ after it: commits, root aborts, AND the total kernel event count.
 
 The event count may be re-pinned on purpose when a refactor changes
 only how the kernel gets to the same timeline (the process-free node
-message server did: 63,198 -> 41,098 and 23,149 -> 14,845).  The obs
-JSONL digests do not count kernel events, so they stay the independent
-witness that the same simulation happened.
+message server did: 63,198 -> 41,098 and 23,149 -> 14,845; the
+process-free RPC fan-out did: 41,098 -> 32,269 and 14,845 -> 11,944).
+The obs JSONL digests do not count kernel events, so they stay the
+independent witness that the same simulation happened; the two
+order-insensitive witnesses below survive even a change that only
+moves records within their own timestamp.
 
 If a change legitimately alters the schedule (a new message, a protocol
 fix), re-record the pins in the same commit and say why in its message.
@@ -33,15 +36,18 @@ from repro.net.message import reset_msg_ids
 
 # (workload, num_nodes, seed) -> (commits, root_aborts, sim_events)
 PINS = {
-    ("bank", 12, 1): (256, 129, 41098),
-    ("dht", 6, 3): (515, 23, 14845),
+    ("bank", 12, 1): (256, 129, 32269),
+    ("dht", 6, 3): (515, 23, 11944),
 }
 
 #: sha256 of each cell's full obs JSONL event stream, with the global
-#: transaction/message id counters restarted at 1 (ids appear in it)
+#: transaction/message id counters restarted at 1 (ids appear in it).
+#: bank-n12 was re-pinned when RPC completion moved from the resumed
+#: caller process to the reply's arrival: four ``rpc.done`` records now
+#: land earlier within their own timestamp (see the witnesses below).
 OBS_SHA256 = {
     ("bank", 12, 1):
-        "363b655263277ce70d81ec2755189d43864403c1073be52443aa70bb49b1eb61",
+        "97a35c9a601fd537004633564740e4903f06f17a6f34d1f22f1e17a2f26d206d",
     ("dht", 6, 3):
         "563da88b978483a9e07748bee31ed52ccfb46a4703d403df758f9a67a6f356cb",
 }
@@ -73,6 +79,41 @@ def test_obs_timeline_matches_pin(cell, tmp_path):
     result = run_cell(*cell, obs=ObsConfig(enabled=True, jsonl_path=str(path)))
     assert (result.commits, result.root_aborts) == PINS[cell][:2]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OBS_SHA256[cell]
+
+
+#: (sha256 of the stream without its ``rpc.done`` lines, sha256 of the
+#: stream's lines sorted bytewise) — recorded before RPC fan-out became
+#: process-free and unchanged by it: every other record keeps its exact
+#: position, and the set of records is the same.
+OBS_WITNESSES = {
+    ("bank", 12, 1): (
+        "d8cf6b0cabd72deb43a887a5477b15f446f8e7f373be9e0461321635d426c20b",
+        "05231b3359b25a9cab4093b898f1d033cc4d7ecd33e7a2f7ad0dbc630d298848",
+    ),
+    ("dht", 6, 3): (
+        "8c2eb8a7263e3a0a6d0a6bfbe079c5d05d1af8769aea0abf6643ec842828898e",
+        "b9c968c98859d5f7732ac87b5fca314fbdff8763dc0281ad47d470d5ed17af07",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINS), ids=lambda c: f"{c[0]}-n{c[1]}")
+def test_obs_record_set_matches_witness(cell, tmp_path):
+    """Where a record lands *within* its timestamp may move when only the
+    kernel path changes (RPC completion is traced at reply arrival); what
+    the run did may not.  Both witnesses are insensitive to exactly that
+    and nothing else: dropping ``rpc.done`` pins every other record's
+    position, sorting pins the multiset of all records."""
+    Transaction._ids = itertools.count(1)
+    reset_msg_ids()
+    path = tmp_path / "events.jsonl"
+    run_cell(*cell, obs=ObsConfig(enabled=True, jsonl_path=str(path)))
+    lines = path.read_bytes().splitlines(keepends=True)
+    without_done = b"".join(l for l in lines if b'"cat":"rpc.done"' not in l)
+    assert (
+        hashlib.sha256(without_done).hexdigest(),
+        hashlib.sha256(b"".join(sorted(lines))).hexdigest(),
+    ) == OBS_WITNESSES[cell]
 
 
 def test_explicit_zero_config_is_the_default():
@@ -108,10 +149,11 @@ def test_prof_config_preserves_the_pin(prof):
         assert snap["mode"] == "counters"
         # batch shape and per-kind mix (simbench's sim.mean_batch)
         assert (snap["events"], snap["batches"], snap["max_batch"]) == (
-            14845, 10488, 12,
+            11944, 9803, 12,
         )
+        # Process: 12 is the 6 nodes x 2 workers — nothing else spawns one
         assert snap["by_event"] == {
-            "AllOf": 686, "AnyOf": 6, "Event": 3168, "Process": 979,
+            "AllOf": 1, "AnyOf": 6, "Event": 1919, "Process": 12,
             "Timeout": 10006,
         }
     else:
