@@ -23,6 +23,8 @@ fix), re-record the pins in the same commit and say why in its message.
 
 import hashlib
 import itertools
+import os
+import sys
 
 import pytest
 
@@ -33,6 +35,10 @@ from repro.core.config import (
 from repro.core.experiment import run_experiment
 from repro.dstm.transaction import Transaction
 from repro.net.message import reset_msg_ids
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
+
+from benchmarks.bench_chaos import chaos_spec  # noqa: E402
 
 # (workload, num_nodes, seed) -> (commits, root_aborts, sim_events)
 PINS = {
@@ -114,6 +120,45 @@ def test_obs_record_set_matches_witness(cell, tmp_path):
         hashlib.sha256(without_done).hexdigest(),
         hashlib.sha256(b"".join(sorted(lines))).hexdigest(),
     ) == OBS_WITNESSES[cell]
+
+
+#: (scheduler, drop rate) -> sha256 of the obs JSONL of that
+#: ``bench_chaos.py --smoke`` cell (6 nodes, seed 1), id counters
+#: restarted at 1.  The pins above are fault-free; these cells exercise
+#: the fault-only recovery paths of the owner side — idempotent
+#: re-grants from the transferred-grant cache, late transfer responses
+#: and hand-offs nobody waits for (both their duplicate and their
+#: adopt-and-forward branch) — so they witness those byte for byte.
+CHAOS_OBS_SHA256 = {
+    ("rts", 0.0):
+        "8a998ed2d88c89ed1eaff6ea380a986fe471deae09b0f65a8dfc80894c2758a1",
+    ("tfa", 0.0):
+        "526eb98220d4f9fd48ba28c430cefc7c061177f8861a68a5b895788b44fb49bc",
+    ("rts", 0.01):
+        "83609bcb7ec8442653e73339df4a36f40eae738be83dce339a9f1a737399132f",
+    ("tfa", 0.01):
+        "9e605d2fae7333099f913629a0574ed0f827270345794a215832481ecf258872",
+    ("rts", 0.05):
+        "fa421cd4611d58a59f50cf0174e94b87fb3f3069fd2d6ff0ce75b058d3c3e298",
+    ("tfa", 0.05):
+        "5deecf20853c5b977dc4eb5d5bcb84b6c03dd21974b944598eb922854f11e4c0",
+}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(CHAOS_OBS_SHA256), ids=lambda c: f"{c[0]}-drop{c[1]}"
+)
+def test_chaos_obs_timeline_matches_pin(cell, tmp_path):
+    """The fault-mode timeline, event for event, under drops,
+    duplicates, extra delays and RPC retries."""
+    Transaction._ids = itertools.count(1)
+    reset_msg_ids()
+    path = tmp_path / "events.jsonl"
+    scheduler, drop = cell
+    chaos_spec(
+        scheduler, drop, obs=dict(enabled=True, jsonl_path=str(path))
+    ).run()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHAOS_OBS_SHA256[cell]
 
 
 def test_explicit_zero_config_is_the_default():
