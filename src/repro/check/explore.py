@@ -433,7 +433,7 @@ def _bug_lost_wakeup() -> Iterator[None]:
         if queue is None or not len(queue):
             return
         for requester in queue.pop_copy_requesters():
-            self._send_handoff(requester, obj, transferred=False)
+            self._send_handoff(requester, obj)
         queue.pop_next_acquirer()  # popped, never handed off: the lost wake-up
 
     def broken_await(

@@ -302,7 +302,7 @@ class Sanitizer:
 
 
 def validate_policy(policy: "RetryPolicy") -> "RetryPolicy":
-    """Standalone policy check (used by :mod:`repro.faults.recovery`).
+    """Standalone policy check, outside any sanitized cluster.
 
     Returns the policy so call sites can validate inline::
 

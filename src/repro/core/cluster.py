@@ -24,12 +24,12 @@ from repro.dstm.directory import DirectoryShard
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.tfa import TFAEngine
-from repro.faults import FaultInjector, FaultPlan, RpcPolicy
+from repro.faults import FaultInjector, FaultPlan
 from repro.net.clocks import NodeClock
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.topology import Topology
-from repro.rpc import LookupCache, PiggybackBatcher, RpcClient
+from repro.rpc import LookupCache, PiggybackBatcher, RetryPolicy, RpcClient
 from repro.scheduler.adaptive import AdaptiveThreshold
 from repro.scheduler.backoff import BackoffScheduler
 from repro.scheduler.base import SchedulerPolicy
@@ -143,14 +143,14 @@ class Cluster:
         fc = config.faults
         self.fault_plan: Optional[FaultPlan] = None
         self.fault_injector: Optional[FaultInjector] = None
-        rpc_policy: Optional[RpcPolicy] = None
+        rpc_policy: Optional[RetryPolicy] = None
         lease_duration: Optional[float] = None
         if fc.enabled:
             self.fault_plan = FaultPlan(fc, self.rngs.stream("faults"), config.num_nodes)
             self.fault_injector = FaultInjector(
                 self.fault_plan, metrics=self.metrics, tracer=self.tracer
             ).install(self.network)
-            rpc_policy = RpcPolicy.from_config(fc)
+            rpc_policy = RetryPolicy.from_config(fc)
             lease_duration = fc.lease_duration
 
         # Invariant sanitizer (repro.check).  Strictly additive: with the
@@ -211,7 +211,6 @@ class Cluster:
                 fallback_exec_estimate=config.fallback_exec_estimate,
                 winner_policy=config.winner_policy,
                 conflict_scope=config.conflict_scope,
-                metrics=self.metrics,
                 rpc_client=rpc_client,
             )
             directory.proxy = proxy

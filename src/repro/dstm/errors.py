@@ -10,11 +10,8 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.rpc.errors import PeerUnreachable
-
 __all__ = [
     "AbortReason",
-    "OwnerUnreachable",
     "TransactionAborted",
     "TransactionError",
 ]
@@ -49,17 +46,6 @@ class AbortReason(str, enum.Enum):
 
 class TransactionError(RuntimeError):
     """Programming errors against the transaction API (not aborts)."""
-
-
-class OwnerUnreachable(PeerUnreachable):
-    """An RPC peer stayed silent through every timeout/retry attempt.
-
-    The D-STM face of :class:`repro.rpc.errors.PeerUnreachable` (which it
-    subclasses): raised by :meth:`repro.dstm.proxy.TMProxy.rpc` under
-    fault injection; protocol layers convert it into a
-    :class:`TransactionAborted` with reason
-    :attr:`AbortReason.OWNER_FAILURE`.
-    """
 
 
 class TransactionAborted(Exception):

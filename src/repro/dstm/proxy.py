@@ -31,20 +31,14 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.dstm.contention import DoomRegistry, WinnerPolicy
 from repro.dstm.directory import DirectoryShard
-from repro.dstm.errors import (
-    AbortReason,
-    OwnerUnreachable,
-    TransactionAborted,
-    TransactionError,
-)
+from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject, home_node
 from repro.dstm.transaction import ETS, Transaction
 from repro.net.message import Message, MessageType
 from repro.net.node import Node
-from repro.rpc import ENDPOINTS, LookupCache, PeerUnreachable, RpcClient
+from repro.rpc import LookupCache, PeerUnreachable, RpcClient
 from repro.scheduler.base import (
     ConflictContext,
-    ConflictDecision,
     DecisionKind,
     SchedulerPolicy,
 )
@@ -100,8 +94,6 @@ class TMProxy:
         fallback_exec_estimate: float = 0.05,
         winner_policy: WinnerPolicy = WinnerPolicy.HOLDER_WINS,
         conflict_scope: str = "root",
-        rpc_policy: Optional[Any] = None,
-        metrics: Optional[Any] = None,
         rpc_client: Optional[RpcClient] = None,
     ) -> None:
         self.node = node
@@ -109,31 +101,29 @@ class TMProxy:
         self.directory = directory
         self.scheduler = scheduler
         self.tracer = tracer or Tracer()
-        #: the typed caller side of the RPC substrate.  Built here from
-        #: the legacy knobs when the cluster does not supply one, so
-        #: directly-constructed proxies (tests) keep working unchanged.
+        #: the typed caller side of the RPC substrate; every proxy RPC is
+        #: ``rpc_client.call(dst, "<endpoint>", payload)``.  The cluster
+        #: supplies one per node; a directly-constructed proxy (tests)
+        #: gets a fault-free client.
         if rpc_client is None:
-            rpc_client = RpcClient(
-                node, policy=rpc_policy, tracer=self.tracer, metrics=metrics
-            )
+            rpc_client = RpcClient(node, tracer=self.tracer)
         self.rpc_client = rpc_client
         #: timeout/retry policy for RPCs (:class:`repro.rpc.RetryPolicy`);
         #: None (fault-free build) keeps every RPC a plain blocking wait.
         self.rpc_policy = rpc_client.policy
-        #: the cluster metrics collector, for fault counters (optional)
-        self.metrics = metrics
         self.fallback_exec_estimate = float(fallback_exec_estimate)
         self.winner_policy = WinnerPolicy(winner_policy)
         if conflict_scope not in ("root", "level", "mixed"):
             raise ValueError(
                 f"conflict_scope must be 'root', 'level' or 'mixed', got {conflict_scope!r}"
             )
-        #: who a lost busy-object conflict kills.  "mixed" (default, the
-        #: closed-nesting model of the paper's TFA baseline [24]):
-        #: execution-phase copy fetches abort only the requesting nested
-        #: level, while commit-phase acquisitions abort the whole parent —
-        #: those are the "losing parent transactions" RTS schedules.
-        #: "root"/"level" force one victim for every conflict (ablations).
+        #: who a lost busy-object conflict kills.  "root" (the default)
+        #: aborts the whole parent — the "losing parent transactions" RTS
+        #: schedules.  The ablations: "mixed" (the closed-nesting model
+        #: of the paper's TFA baseline [24]) lets execution-phase copy
+        #: fetches abort only the requesting nested level while
+        #: commit-phase acquisitions still abort the parent; "level"
+        #: confines every abort to the requesting level.
         self.conflict_scope = conflict_scope
         #: lazily-aborted transactions (greedy-timestamp ablation)
         self.doomed = DoomRegistry()
@@ -165,9 +155,6 @@ class TMProxy:
         self._hold_started: Dict[str, float] = {}
         #: holder's reported transaction start time, per oid (greedy CM)
         self._holder_start: Dict[str, float] = {}
-        #: requester-side enqueue outcomes (diagnostics + tests)
-        self.enqueue_wins = 0
-        self.enqueue_expiries = 0
         #: enqueue-wait reporting hook (repro.check.explore's
         #: bounded-enqueue-time property): called once per completed
         #: hand-off wait with (root txid, oid, budget, waited, won).
@@ -271,11 +258,10 @@ class TMProxy:
         pp = self.payload
         pp.fetches += 1
         try:
-            reply = yield from self.rpc(
-                src, MessageType.PAYLOAD_FETCH,
-                {"oid": oid, "version": version},
+            reply = yield from self.rpc_client.call(
+                src, "payload_fetch", {"oid": oid, "version": version}
             )
-        except OwnerUnreachable:
+        except PeerUnreachable:
             return False
         p = reply.payload
         if p.get("ok"):
@@ -310,37 +296,6 @@ class TMProxy:
                 msg, MessageType.PAYLOAD_FETCH_REPLY,
                 {"oid": oid, "ok": False, "version": have},
             )
-
-    # ------------------------------------------------------------------
-    # RPC with timeout/retry (fault recovery)
-    # ------------------------------------------------------------------
-
-    def rpc(
-        self,
-        dst: int,
-        mtype: MessageType,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> Generator[Any, Any, Message]:
-        """A proxy RPC (generator; ``yield from``).
-
-        Delegates to the node's :class:`~repro.rpc.RpcClient` — the
-        substrate owns the tracing/metrics and (via
-        :meth:`~repro.net.node.Node.gather`) the single retry loop.
-        Without a policy (fault-free build) the call is a plain blocking
-        wait, no timeout events; with one, a peer silent through every
-        growing-timeout attempt surfaces as
-        :class:`~repro.dstm.errors.OwnerUnreachable`.
-        """
-        endpoint = ENDPOINTS.for_request(mtype)
-        if endpoint is None:
-            raise TransactionError(f"no endpoint registered for {mtype.value}")
-        try:
-            reply = yield from self.rpc_client.call(dst, endpoint.name, payload)
-        except OwnerUnreachable:
-            raise
-        except PeerUnreachable as exc:
-            raise OwnerUnreachable(exc.dst, exc.what, exc.attempts) from None
-        return reply
 
     # ------------------------------------------------------------------
     # Requester side: Open_Object (Algorithm 2)
@@ -380,7 +335,7 @@ class TMProxy:
                     phase="open", edge="E", oid=oid,
                 )
             return grant
-        except OwnerUnreachable as exc:
+        except PeerUnreachable as exc:
             # The owner (or the home directory) stayed silent through
             # every retry: environmental failure, the whole root aborts
             # and waits out the scheduler's owner-failure stall.  Lease
@@ -411,9 +366,9 @@ class TMProxy:
                 )
             if owner is None:
                 owner = yield from self._lookup_owner(oid)
-            reply = yield from self.rpc(
+            reply = yield from self.rpc_client.call(
                 owner,
-                MessageType.RETRIEVE_REQUEST,
+                "retrieve",
                 {
                     "oid": oid,
                     "txid": root.task_id,
@@ -471,14 +426,12 @@ class TMProxy:
                     # removeDuplicate drops our stale entry), then give up
                     # and abort for real.
                     expiries += 1
-                    self.enqueue_expiries += 1
                     if expiries <= self.rerequest_limit:
                         continue
                     raise TransactionAborted(
                         self._conflict_victim(tx, mode), AbortReason.BACKOFF_EXPIRED,
                         oid=oid, detail=f"backoff {budget:.4f}s expired",
                     )
-                self.enqueue_wins += 1
                 return self._absorb_grant(root, oid, mode, grant_payload, None)
 
             # Plain rejection: the scheduler chose abort.  Per the paper,
@@ -518,7 +471,7 @@ class TMProxy:
 
     def _lookup_owner(self, oid: str) -> Generator[Any, Any, int]:
         home = home_node(oid, self.node.network.num_nodes)
-        reply = yield from self.rpc(home, MessageType.DIR_LOOKUP, {"oid": oid})
+        reply = yield from self.rpc_client.call(home, "dir_lookup", {"oid": oid})
         p = reply.payload
         if not p["known"]:
             raise TransactionError(f"object {oid} is not registered anywhere")
@@ -662,93 +615,101 @@ class TMProxy:
         p = msg.payload
         oid: str = p["oid"]
         root_txid: str = p["txid"]
-        mode = ObjectMode(p["mode"])
-        now = self.node.now_local
-
         obj = self.store.get(oid)
         if obj is None:
-            cached = self._granted.get(oid)
-            if cached is not None and cached[0] == msg.src and cached[1] == root_txid:
-                # The requester we transferred the object to is asking
-                # again: the response carrying the single writable copy
-                # was lost.  Re-send it (idempotent — the requester
-                # drops duplicates of a transfer it already absorbed),
-                # and refresh the grant age: the requester is alive, so
-                # the orphan sweep must not repatriate under it.
-                self._granted[oid] = (cached[0], cached[1], cached[2], self.env.now)
-                self.node.reply(
-                    msg, MessageType.RETRIEVE_RESPONSE, dict(cached[2]),
-                    wire_bytes=self._grant_wire_bytes(oid),
-                )
-                return
-            self.node.reply(
-                msg, MessageType.RETRIEVE_RESPONSE,
-                {
-                    "oid": oid, "granted": False, "not_owner": True,
-                    "owner_hint": self.owner_hints.get(oid),
-                },
-            )
+            self._serve_non_owner(msg, oid, root_txid)
             return
 
+        mode = ObjectMode(p["mode"])
+        now = self.node.now_local
         self.scheduler.on_request(oid, root_txid, now)
         local_cl = self._local_cl(oid)
 
-        # Re-grant to the holder itself (same root re-opening its object).
-        if obj.state is not ObjectState.FREE and obj.holder == root_txid:
-            self._grant(msg, obj, mode, transferred=False, local_cl=local_cl)
-            return
-
-        if obj.state is ObjectState.FREE:
-            if mode.is_copy:
-                # Committed snapshot; ownership unchanged.  TFA serves
-                # copies optimistically — the requester validates later.
-                self._grant(msg, obj, mode, transferred=False, local_cl=local_cl)
-            else:
-                # Commit-time acquisition of a free object: migrate the
-                # single writable copy to the committing node.
-                self._grant(msg, obj, mode, transferred=True, local_cl=local_cl)
+        if obj.state is ObjectState.FREE or obj.holder == root_txid:
+            # A free object, or its holder (same root) re-opening it.  A
+            # copy is a committed snapshot, ownership unchanged — TFA
+            # serves copies optimistically and the requester validates
+            # later.  A commit-time acquisition of a free object migrates
+            # the single writable copy to the committing node.
+            transferred = obj.state is ObjectState.FREE and not mode.is_copy
+            self._grant(msg, obj, local_cl, transferred)
             return
 
         # ---- conflict: the object is being validated by another commit ----
-
-        # Same-node requests never enter distributed contention
-        # management: a local thread simply blocks on the proxy's object
-        # lock until the validation window closes (microseconds of local
-        # waiting in the real system).  The paper's scheduled conflicts
-        # are the *remote* ones, priced in round trips.
+        queue = self.queues.get(oid)
+        if queue is None:
+            queue = self.queues[oid] = RequesterList()
         if msg.src == self.node.node_id:
-            queue = self.queues.get(oid)
-            if queue is None:
-                queue = RequesterList()
-                self.queues[oid] = queue
-            queue.remove_duplicate(root_txid)
-            s, r, c = p["ets"]
-            queue.add_requester(
-                1,
-                Requester(
-                    node=msg.src, txid=root_txid, mode=mode,
-                    ets=ETS(s, r, c), enqueued_at=now, local_wait=True,
-                ),
-            )
-            if self.tracer.wants("sched.decision"):
-                self.tracer.emit(
-                    self.env.now, "sched.decision", oid,
-                    node=f"n{self.node.node_id}", txid=root_txid,
-                    action="local_wait", cause="local",
-                    cl=queue.get_contention(), threshold=0,
-                    bk=queue.bk, elapsed=r - s, backoff=0.0,
-                )
-            if self.tracer.wants("obs.queue"):
-                self._trace_queue(oid)
+            self._wait_on_lock(msg, mode, queue, local_cl, now)
+        else:
+            self._resolve_conflict(msg, obj, mode, queue, local_cl, now)
+
+    def _serve_non_owner(self, msg: Message, oid: str, root_txid: str) -> None:
+        """``oid`` is not here: re-send a lost transfer, else point the
+        requester along the hint chain."""
+        cached = self._granted.get(oid)
+        if cached is not None and cached[0] == msg.src and cached[1] == root_txid:
+            # The requester we transferred the object to is asking
+            # again: the response carrying the single writable copy
+            # was lost.  Re-send it (idempotent — the requester
+            # drops duplicates of a transfer it already absorbed),
+            # and refresh the grant age: the requester is alive, so
+            # the orphan sweep must not repatriate under it.
+            self._granted[oid] = (cached[0], cached[1], cached[2], self.env.now)
             self.node.reply(
-                msg, MessageType.RETRIEVE_RESPONSE,
-                {
-                    "oid": oid, "granted": False, "enqueued": True,
-                    "backoff": None, "local_cl": local_cl,
-                },
+                msg, MessageType.RETRIEVE_RESPONSE, dict(cached[2]),
+                wire_bytes=self._grant_wire_bytes(oid),
             )
             return
+        self.node.reply(
+            msg, MessageType.RETRIEVE_RESPONSE,
+            {
+                "oid": oid, "granted": False, "not_owner": True,
+                "owner_hint": self.owner_hints.get(oid),
+            },
+        )
 
+    def _wait_on_lock(
+        self, msg: Message, mode: ObjectMode, queue: RequesterList,
+        local_cl: int, now: float,
+    ) -> None:
+        """A same-node conflict.  It never enters distributed contention
+        management: a local thread simply blocks on the proxy's object
+        lock until the validation window closes (microseconds of local
+        waiting in the real system).  The paper's scheduled conflicts
+        are the *remote* ones, priced in round trips."""
+        p = msg.payload
+        oid: str = p["oid"]
+        root_txid: str = p["txid"]
+        queue.remove_duplicate(root_txid)
+        s, r, c = p["ets"]
+        queue.add_requester(
+            1,
+            Requester(
+                node=msg.src, txid=root_txid, mode=mode,
+                ets=ETS(s, r, c), enqueued_at=now, local_wait=True,
+            ),
+        )
+        if self.tracer.wants("sched.decision"):
+            self.tracer.emit(
+                self.env.now, "sched.decision", oid,
+                node=f"n{self.node.node_id}", txid=root_txid,
+                action="local_wait", cause="local",
+                cl=queue.get_contention(), threshold=0,
+                bk=queue.bk, elapsed=r - s, backoff=0.0,
+            )
+        if self.tracer.wants("obs.queue"):
+            self._trace_queue(oid)
+        self._deny(msg, oid, local_cl, enqueued=True, backoff=None)
+
+    def _resolve_conflict(
+        self, msg: Message, obj: VersionedObject, mode: ObjectMode,
+        queue: RequesterList, local_cl: int, now: float,
+    ) -> None:
+        """A remote conflict: the scheduler decides abort or enqueue."""
+        p = msg.payload
+        oid = obj.oid
+        root_txid: str = p["txid"]
         # Contention manager (ablation): an older requester may doom the
         # younger validating holder, which then aborts lazily.
         if (
@@ -760,11 +721,6 @@ class TMProxy:
             if requester_start < holder_start:
                 self.doomed.doom(obj.holder)
 
-        # ---- conflict: delegate to the scheduler ----
-        queue = self.queues.get(oid)
-        if queue is None:
-            queue = RequesterList()
-            self.queues[oid] = queue
         was_duplicate = queue.remove_duplicate(root_txid)
         s, r, c = p["ets"]
         ctx = ConflictContext(
@@ -801,31 +757,45 @@ class TMProxy:
         if decision.kind is DecisionKind.ENQUEUE:
             if self.tracer.wants("obs.queue"):
                 self._trace_queue(oid)
-            self.node.reply(
-                msg, MessageType.RETRIEVE_RESPONSE,
-                {
-                    "oid": oid, "granted": False, "enqueued": True,
-                    "backoff": decision.backoff, "local_cl": local_cl,
-                },
-            )
+            self._deny(msg, oid, local_cl, enqueued=True, backoff=decision.backoff)
         else:
-            self.node.reply(
-                msg, MessageType.RETRIEVE_RESPONSE,
-                {
-                    "oid": oid, "granted": False, "enqueued": False,
-                    "backoff": 0.0, "local_cl": local_cl,
-                },
-            )
+            self._deny(msg, oid, local_cl, enqueued=False, backoff=0.0)
+
+    def _deny(
+        self, msg: Message, oid: str, local_cl: int, enqueued: bool,
+        backoff: Optional[float],
+    ) -> None:
+        """Answer a retrieve request without the object: enqueued (wait
+        ``backoff`` for the hand-off; None = parked on the local lock)
+        or rejected."""
+        self.node.reply(
+            msg, MessageType.RETRIEVE_RESPONSE,
+            {
+                "oid": oid, "granted": False, "enqueued": enqueued,
+                "backoff": backoff, "local_cl": local_cl,
+            },
+        )
 
     def _grant(
-        self,
-        msg: Message,
-        obj: VersionedObject,
-        mode: ObjectMode,
-        transferred: bool,
-        local_cl: int,
+        self, msg: Message, obj: VersionedObject, local_cl: int, transferred: bool
     ) -> None:
-        payload: Dict[str, Any] = {
+        """Grant ``obj`` in the reply to ``msg``; a transferred grant
+        migrates ownership to the requester with it."""
+        body = self._grant_body(obj, local_cl)
+        if transferred:
+            self._hand_over(obj, msg.src, msg.payload["txid"], body)
+        self.node.reply(
+            msg, MessageType.RETRIEVE_RESPONSE, body,
+            wire_bytes=self._grant_wire_bytes(obj.oid),
+        )
+
+    def _grant_body(
+        self, obj: VersionedObject, local_cl: int, txid: Optional[str] = None
+    ) -> Dict[str, Any]:
+        """The value-carrying body of every grant and hand-off.  A
+        hand-off answers no request, so it names the root ``txid`` whose
+        waiter it wakes."""
+        body: Dict[str, Any] = {
             "oid": obj.oid,
             "granted": True,
             "value": obj.value,
@@ -833,31 +803,35 @@ class TMProxy:
             "local_cl": local_cl,
             "served_by": self.node.node_id,
         }
+        if txid is not None:
+            body["txid"] = txid
         if self.payload is not None and self.payload.plane.proxy_mode:
             # Control-plane proxy: advertise the byte factory instead of
             # shipping the payload (the semantic value above is protocol
             # metadata; the bulk bytes resolve lazily at the reader).
-            payload["psrc"] = obj.payload_src
-        if transferred:
-            payload["transferred"] = True
-            queue = self.queues.pop(obj.oid, None)
-            if queue is not None and len(queue):
-                payload["queue"] = queue.snapshot()
-                payload["bk"] = queue.bk
-            del self.store[obj.oid]
-            self._hold_started.pop(obj.oid, None)
-            self.owner_hints[obj.oid] = msg.src
-            if self.rpc_policy is not None:
-                # The copy now exists only in this response; remember it
-                # so the requester's retry can be answered if the
-                # response is dropped.
-                self._granted[obj.oid] = (
-                    msg.src, msg.payload["txid"], dict(payload), self.env.now
-                )
-        self.node.reply(
-            msg, MessageType.RETRIEVE_RESPONSE, payload,
-            wire_bytes=self._grant_wire_bytes(obj.oid),
-        )
+            body["psrc"] = obj.payload_src
+        return body
+
+    def _hand_over(
+        self, obj: VersionedObject, dst: int, txid: str, body: Dict[str, Any]
+    ) -> None:
+        """Ownership of ``obj`` leaves this node for root ``txid`` at
+        ``dst``, inside ``body`` (a transferred grant or hand-off).  The
+        queue and its backlog travel with the object."""
+        oid = obj.oid
+        body["transferred"] = True
+        queue = self.queues.pop(oid, None)
+        if queue is not None and len(queue):
+            body["queue"] = queue.snapshot()
+            body["bk"] = queue.bk
+        del self.store[oid]
+        self._hold_started.pop(oid, None)
+        self.owner_hints[oid] = dst
+        if self.rpc_policy is not None:
+            # The copy now exists only in this message; remember it so
+            # the requester's retry (or its re-request once its backoff
+            # expires with no object) can be answered if it is dropped.
+            self._granted[oid] = (dst, txid, dict(body), self.env.now)
 
     def _local_cl(self, oid: str) -> int:
         """Transactions currently wanting ``oid`` here: the queue, plus
@@ -919,7 +893,7 @@ class TMProxy:
         # Every queued snapshot requester (reads and write-copies) gets the
         # committed value simultaneously — §III-B's read multicast.
         for requester in queue.pop_copy_requesters():
-            self._send_handoff(requester, obj, transferred=False)
+            self._send_handoff(requester, obj)
 
         acquirer = queue.pop_next_acquirer()
         if acquirer is None:
@@ -929,29 +903,8 @@ class TMProxy:
             return
         # Ownership migrates to the first queued committer; the remaining
         # queue (and its backlog) travels with the object.
-        remaining = queue.snapshot()
-        bk = queue.bk
-        del self.queues[oid]
-        del self.store[oid]
-        self.owner_hints[oid] = acquirer.node
-        handoff = {
-            "oid": oid, "txid": acquirer.txid, "mode": acquirer.mode.value,
-            "granted": True, "transferred": True,
-            "value": obj.value, "version": obj.version,
-            "queue": remaining, "bk": bk,
-            "local_cl": len(remaining),
-            "served_by": self.node.node_id,
-            "owner_clock": self.node.clock.tfa_clock,
-        }
-        if self.payload is not None and self.payload.plane.proxy_mode:
-            handoff["psrc"] = obj.payload_src
-        if self.rpc_policy is not None:
-            # Same in-flight hazard as a transferred grant: if this
-            # hand-off is dropped, the acquirer's re-request (its backoff
-            # expires with no object) is served from the cache.
-            self._granted[oid] = (
-                acquirer.node, acquirer.txid, dict(handoff), self.env.now
-            )
+        handoff = self._grant_body(obj, len(queue), acquirer.txid)
+        self._hand_over(obj, acquirer.node, acquirer.txid, handoff)
         self.node.send(
             acquirer.node, MessageType.OBJECT_HANDOFF, handoff,
             wire_bytes=self._grant_wire_bytes(oid),
@@ -960,20 +913,11 @@ class TMProxy:
             # The queue (and backlog) just migrated away with the object.
             self._trace_queue(oid)
 
-    def _send_handoff(self, requester: Requester, obj: VersionedObject, transferred: bool) -> None:
-        payload: Dict[str, Any] = {
-            "oid": obj.oid, "txid": requester.txid,
-            "mode": requester.mode.value,
-            "granted": True, "transferred": transferred,
-            "value": obj.value, "version": obj.version,
-            "local_cl": 0,
-            "served_by": self.node.node_id,
-            "owner_clock": self.node.clock.tfa_clock,
-        }
-        if self.payload is not None and self.payload.plane.proxy_mode:
-            payload["psrc"] = obj.payload_src
+    def _send_handoff(self, requester: Requester, obj: VersionedObject) -> None:
+        """Hand ``obj``'s committed value to a queued copy requester."""
         self.node.send(
-            requester.node, MessageType.OBJECT_HANDOFF, payload,
+            requester.node, MessageType.OBJECT_HANDOFF,
+            self._grant_body(obj, 0, requester.txid),
             wire_bytes=self._grant_wire_bytes(obj.oid),
         )
 
@@ -985,9 +929,8 @@ class TMProxy:
         p = msg.payload
         oid: str = p["oid"]
         txid: str = p["txid"]
-        p.setdefault("owner_clock", msg.clock)
-        key = (txid, oid)
-        waiter = self._waiters.pop(key, None)
+        p["owner_clock"] = msg.clock
+        waiter = self._waiters.pop((txid, oid), None)
 
         if waiter is not None and not waiter.triggered:
             if p.get("transferred"):
@@ -996,18 +939,10 @@ class TMProxy:
                 # not trigger a second install in _absorb_grant.
                 p = dict(p, transferred=False)
             waiter.succeed(p)
-            return
-
-        # Algorithm 4's else-branch: nobody here needs the object any more.
-        if p.get("transferred"):
-            if oid in self.store:
-                # Duplicate of a hand-off we already absorbed (fault
-                # injection): the transfer happened once; drop the echo.
-                return
-            # We *are* the owner now (the queue shipped with the object);
-            # forward straight to the next queued requester.
-            self._install_transferred(oid, p, holder=None)
-            self.release_object(oid, committed=False)
+        elif p.get("transferred"):
+            # Algorithm 4's else-branch: nobody here needs the object any
+            # more, but we *are* its owner now.
+            self._adopt_orphan(p)
         # A read hand-off with no waiter is simply dropped: shared
         # snapshots carry no state.
 
@@ -1020,17 +955,22 @@ class TMProxy:
         duplicate of one already consumed).
 
         Snapshot grants and rejections are stale information and are
-        dropped.  A *transfer* grant, however, carries the single
-        writable copy — losing it would orphan the object until lease
-        reclaim — so we absorb the ownership and immediately release,
-        serving any queue that travelled with it.
+        dropped.  A *transfer* grant carries the single writable copy, so
+        it is adopted like any transfer nobody here waits for.
         """
         p = msg.payload
-        if not p.get("granted") or not p.get("transferred"):
-            return
-        oid = p["oid"]
+        if p.get("granted") and p.get("transferred"):
+            self._adopt_orphan(p)
+
+    def _adopt_orphan(self, p: Dict[str, Any]) -> None:
+        """Absorb a transfer nobody here waits for and release it at once,
+        forwarding it to the queue that travelled with it.  Dropping it
+        would orphan the object until lease reclaim."""
+        oid: str = p["oid"]
         if oid in self.store:
-            return  # duplicate of a transfer we already absorbed
+            # Duplicate of a transfer we already absorbed (fault
+            # injection): the transfer happened once; drop the echo.
+            return
         self._install_transferred(oid, p, holder=None)
         self.release_object(oid, committed=False)
 
@@ -1061,11 +1001,11 @@ class TMProxy:
         recovery snapshot (generator process; fault mode only)."""
         home = home_node(oid, self.node.network.num_nodes)
         try:
-            yield from self.rpc(
-                home, MessageType.COMMIT_PUBLISH,
+            yield from self.rpc_client.call(
+                home, "commit_publish",
                 {"oid": oid, "version": int(version), "value": value},
             )
-        except OwnerUnreachable:
+        except PeerUnreachable:
             # The home is unreachable; the periodic heartbeat will carry
             # the same state as soon as it answers again.
             pass
@@ -1142,8 +1082,8 @@ class TMProxy:
                 continue
             home = home_node(oid, self.node.network.num_nodes)
             try:
-                reply = yield from self.rpc(
-                    home, MessageType.ORPHAN_RETURN,
+                reply = yield from self.rpc_client.call(
+                    home, "orphan_return",
                     {
                         "oid": oid,
                         "version": int(payload["version"]),
@@ -1151,7 +1091,7 @@ class TMProxy:
                         "granted_to": requester,
                     },
                 )
-            except OwnerUnreachable:
+            except PeerUnreachable:
                 continue  # silent home: retry on the next sweep
             p = reply.payload
             if p.get("accepted") or p.get("fenced"):

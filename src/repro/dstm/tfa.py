@@ -30,16 +30,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.dstm.errors import (
-    AbortReason,
-    OwnerUnreachable,
-    TransactionAborted,
-    TransactionError,
-)
+from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.transaction import NestingModel, ReadEntry, Transaction, TxStatus
 from repro.net.message import Message, MessageType
+from repro.rpc import PeerUnreachable
 
 __all__ = ["TFAEngine"]
 
@@ -564,8 +560,8 @@ class TFAEngine:
         self, home: int, payload: Dict[str, Any]
     ) -> Generator[Any, Any, None]:
         try:
-            yield from self.proxy.rpc(home, MessageType.DIR_UPDATE, payload)
-        except OwnerUnreachable:
+            yield from self.proxy.rpc_client.call(home, "dir_update", payload)
+        except PeerUnreachable:
             pass  # crashed home: its stale registration heals via reclaim
 
     def _commit_record(

@@ -8,10 +8,9 @@ The subsystem has two halves:
   windows, per-message fates); :class:`FaultInjector` installs that plan
   onto a :class:`~repro.net.network.Network`, deciding each message's
   fate at send time and vetoing delivery to crashed nodes;
-* **recovery** — :class:`RpcPolicy` (an alias of
-  :class:`repro.rpc.RetryPolicy`, the stack's single retry/backoff
-  policy object) parameterises the RPC substrate's timeout/retry loop;
-  the lease/reclaim machinery lives in
+* **recovery** — :class:`repro.rpc.RetryPolicy` (the stack's single
+  retry/backoff policy object) parameterises the RPC substrate's
+  timeout/retry loop; the lease/reclaim machinery lives in
   :class:`~repro.dstm.directory.DirectoryShard` and the heartbeat,
   commit-publish, and orphan-sweep processes in
   :class:`~repro.dstm.proxy.TMProxy`.
@@ -22,7 +21,6 @@ produce identical fault timelines and therefore bit-identical runs.
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashWindow, FaultPlan, MessageFate, PartitionWindow
-from repro.faults.recovery import RpcPolicy
 
 __all__ = [
     "CrashWindow",
@@ -30,5 +28,4 @@ __all__ = [
     "FaultPlan",
     "MessageFate",
     "PartitionWindow",
-    "RpcPolicy",
 ]

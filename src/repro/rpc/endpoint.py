@@ -53,7 +53,8 @@ class Endpoint:
 
 
 class EndpointRegistry:
-    """Name -> :class:`Endpoint` catalogue (also indexed by request type)."""
+    """Name -> :class:`Endpoint` catalogue; each request type binds to
+    at most one endpoint."""
 
     def __init__(self) -> None:
         self._by_name: Dict[str, Endpoint] = {}
@@ -78,9 +79,6 @@ class EndpointRegistry:
             raise EndpointError(
                 f"unknown endpoint {name!r}; known: {sorted(self._by_name)}"
             ) from None
-
-    def for_request(self, mtype: MessageType) -> Optional[Endpoint]:
-        return self._by_request.get(MessageType(mtype))
 
     def __iter__(self) -> Iterator[Endpoint]:
         return iter(self._by_name.values())

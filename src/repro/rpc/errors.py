@@ -12,10 +12,8 @@ class EndpointError(ValueError):
 class PeerUnreachable(RuntimeError):
     """An RPC peer stayed silent through every timeout/retry attempt.
 
-    Protocol layers convert this into their domain failure —
-    :class:`repro.dstm.errors.OwnerUnreachable` subclasses it, so code
-    catching the dstm exception keeps working while the rpc layer stays
-    free of dstm imports.
+    Protocol layers catch it and convert it into their domain failure
+    (the D-STM aborts the root with ``AbortReason.OWNER_FAILURE``).
     """
 
     def __init__(self, dst: int, what: str, attempts: int) -> None:

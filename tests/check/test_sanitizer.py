@@ -9,7 +9,8 @@ from repro.core.cluster import Cluster
 from repro.core.config import CheckConfig, ClusterConfig, FaultConfig
 from repro.core.experiment import run_experiment
 from repro.dstm.objects import ObjectState, home_node
-from repro.faults.recovery import RpcPolicy, validate_policy
+from repro.check.sanitize import validate_policy
+from repro.rpc import RetryPolicy
 
 CHAOS = FaultConfig(
     enabled=True,
@@ -91,7 +92,7 @@ class TestUnitChecks:
         assert exc.value.rule_id == "inv-cache-coherent"
 
     def test_policy_validation(self):
-        pol = RpcPolicy(timeout=0.1, max_retries=3, backoff_factor=2.0,
+        pol = RetryPolicy(timeout=0.1, max_retries=3, backoff_factor=2.0,
                         backoff_cap=0.4)
         assert validate_policy(pol) is pol
 

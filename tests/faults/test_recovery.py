@@ -8,17 +8,18 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig
 from repro.dstm.directory import DirectoryShard
-from repro.dstm.errors import AbortReason, OwnerUnreachable
+from repro.dstm.errors import AbortReason
 from repro.dstm.objects import home_node
-from repro.faults import CrashWindow, RpcPolicy
+from repro.faults import CrashWindow
 from repro.net import MessageType, Network, Node, Topology
 from repro.net.topology import TopologyKind
+from repro.rpc import PeerUnreachable, RetryPolicy
 from repro.sim import RngRegistry
 
 
 class TestRpcPolicy:
     def test_timeout_ladder_grows_to_cap(self):
-        pol = RpcPolicy(timeout=0.1, max_retries=4, backoff_factor=2.0,
+        pol = RetryPolicy(timeout=0.1, max_retries=4, backoff_factor=2.0,
                         backoff_cap=0.5)
         assert [pol.nth_timeout(i) for i in range(5)] == pytest.approx(
             [0.1, 0.2, 0.4, 0.5, 0.5]
@@ -28,17 +29,17 @@ class TestRpcPolicy:
     def test_from_config_maps_fields(self):
         fc = FaultConfig(rpc_timeout=0.3, rpc_max_retries=2,
                          rpc_backoff_factor=3.0, rpc_backoff_cap=1.2)
-        pol = RpcPolicy.from_config(fc)
+        pol = RetryPolicy.from_config(fc)
         assert (pol.timeout, pol.max_retries) == (0.3, 2)
         assert pol.nth_timeout(1) == pytest.approx(0.9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RpcPolicy(timeout=0.0)
+            RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError):
-            RpcPolicy(backoff_factor=0.5)
+            RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
-            RpcPolicy(timeout=0.5, backoff_cap=0.4)
+            RetryPolicy(timeout=0.5, backoff_cap=0.4)
 
 
 def silent_peer_cluster(**fault_kw):
@@ -60,8 +61,8 @@ class TestProxyRetries:
 
         def proc():
             try:
-                yield from proxy.rpc(1, MessageType.DIR_LOOKUP, {"oid": "x"})
-            except OwnerUnreachable as exc:
+                yield from proxy.rpc_client.call(1, "dir_lookup", {"oid": "x"})
+            except PeerUnreachable as exc:
                 outcome["at"] = cluster.env.now
                 outcome["exc"] = exc
 
@@ -83,8 +84,8 @@ class TestProxyRetries:
         got = {}
 
         def proc():
-            reply = yield from proxy.rpc(
-                home_node("x", 2), MessageType.DIR_LOOKUP, {"oid": "x"}
+            reply = yield from proxy.rpc_client.call(
+                home_node("x", 2), "dir_lookup", {"oid": "x"}
             )
             got["payload"] = reply.payload
 

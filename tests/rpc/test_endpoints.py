@@ -47,7 +47,7 @@ class TestRegistry:
 
     def test_request_type_roundtrip(self):
         ep = ENDPOINTS.get("dir_lookup")
-        assert ENDPOINTS.for_request(MessageType.DIR_LOOKUP) is ep
+        assert ep.request is MessageType.DIR_LOOKUP
         assert ep.reply is MessageType.DIR_LOOKUP_REPLY
         assert ep.is_rpc
 

@@ -23,11 +23,10 @@ fix), re-record the pins in the same commit and say why in its message.
 
 import hashlib
 import itertools
-import os
-import sys
 
 import pytest
 
+from benchmarks.bench_chaos import chaos_spec
 from repro.core import ClusterConfig, SchedulerKind
 from repro.core.config import (
     CheckConfig, ObsConfig, PayloadConfig, ProfConfig, RpcConfig,
@@ -35,10 +34,6 @@ from repro.core.config import (
 from repro.core.experiment import run_experiment
 from repro.dstm.transaction import Transaction
 from repro.net.message import reset_msg_ids
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
-
-from benchmarks.bench_chaos import chaos_spec  # noqa: E402
 
 # (workload, num_nodes, seed) -> (commits, root_aborts, sim_events)
 PINS = {

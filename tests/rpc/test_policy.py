@@ -40,18 +40,8 @@ class TestRetryPolicy:
 
 
 class TestSinglePolicyObject:
-    """The refactor's no-duplication guarantee: faults and net both
-    delegate to the one policy class in repro.rpc."""
-
-    def test_faults_rpcpolicy_is_the_rpc_retrypolicy(self):
-        from repro.faults import RpcPolicy
-        from repro.faults import recovery
-
-        assert RpcPolicy is RetryPolicy
-        assert recovery.RpcPolicy is RetryPolicy
-        # The shim re-exports the one policy class plus the repro.check
-        # consistency gate over it — still no second policy object.
-        assert recovery.__all__ == ["RpcPolicy", "validate_policy"]
+    """The no-duplication guarantee: the node's one retry loop runs the
+    one policy class in repro.rpc."""
 
     def test_node_request_honours_policy_ladder(self, env):
         """Node.request owns the retry loop: a silent peer costs exactly
