@@ -299,14 +299,3 @@ class Sanitizer:
                 windows=windows, cap=policy.backoff_cap,
                 worst_case_wait=policy.worst_case_wait(),
             )
-
-
-def validate_policy(policy: "RetryPolicy") -> "RetryPolicy":
-    """Standalone policy check, outside any sanitized cluster.
-
-    Returns the policy so call sites can validate inline::
-
-        policy = validate_policy(RetryPolicy.from_config(faults))
-    """
-    Sanitizer().check_policy(policy)
-    return policy

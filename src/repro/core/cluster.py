@@ -70,28 +70,23 @@ class Cluster:
 
         # Observability (repro.obs).  Strictly additive like faults: the
         # default ObsConfig(enabled=False) builds no recorder and leaves
-        # the tracer exactly as trace/trace_categories configure it.
+        # the tracer disabled.  Enabled, the tracer passes the obs
+        # categories to the recorder; tests and tools that want the raw
+        # events attach a MemorySink next to it.
         oc = config.obs
-        trace_cats = set(config.trace_categories) if config.trace_categories else None
+        self.tracer = Tracer()
         self.obs: Optional["ObsRecorder"] = None
         if oc.enabled:
             from repro.obs import OBS_CATEGORIES, ObsRecorder
 
-            if config.trace and trace_cats is None:
-                cats = None  # the user asked for everything
-            else:
-                cats = set(OBS_CATEGORIES) | (trace_cats or set())
-            self.tracer = Tracer(
-                enabled=True, categories=cats, keep_records=config.trace
+            self.tracer = Tracer(enabled=True, categories=OBS_CATEGORIES)
+            self.obs = self.tracer.attach_sink(
+                ObsRecorder(
+                    window=oc.window,
+                    jsonl_path=oc.jsonl_path,
+                    chrome_path=oc.chrome_path,
+                )
             )
-            self.obs = ObsRecorder(
-                window=oc.window,
-                jsonl_path=oc.jsonl_path,
-                chrome_path=oc.chrome_path,
-            )
-            self.tracer.attach_sink(self.obs)
-        else:
-            self.tracer = Tracer(enabled=config.trace, categories=trace_cats)
         self.topology = Topology(
             config.num_nodes,
             self.rngs.stream("topology"),
@@ -205,7 +200,6 @@ class Cluster:
             self.rpc_clients.append(rpc_client)
             proxy = TMProxy(
                 node,
-                directory,
                 scheduler,
                 tracer=self.tracer,
                 fallback_exec_estimate=config.fallback_exec_estimate,

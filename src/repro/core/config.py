@@ -193,14 +193,15 @@ class RpcConfig:
 class ObsConfig:
     """Parameterisation of the observability layer (``repro.obs``).
 
-    With ``enabled=False`` (the default) the cluster builds no recorder
-    and the tracer stays exactly as the ``trace``/``trace_categories``
-    knobs configure it: the disabled path costs one boolean guard per
-    emission site, same as before.  With ``enabled=True`` an
-    :class:`~repro.obs.ObsRecorder` sink is attached to the tracer and
-    every ``repro.obs`` event category is enabled; events stream to the
-    recorder (and optionally to JSONL / Chrome trace files) without
-    unbounded in-memory accumulation.
+    This is the one tracing switch.  With ``enabled=False`` (the
+    default) the cluster builds no recorder and its tracer stays
+    disabled: the disabled path costs one boolean guard per emission
+    site.  With ``enabled=True`` an :class:`~repro.obs.ObsRecorder` sink
+    is attached to the tracer and every ``repro.obs`` event category is
+    enabled; events stream to the recorder (and optionally to JSONL /
+    Chrome trace files) without unbounded in-memory accumulation.  To
+    keep the events in memory as well, attach a
+    :class:`~repro.obs.MemorySink` to ``cluster.tracer``.
     """
 
     enabled: bool = False
@@ -510,8 +511,6 @@ class ClusterConfig:
     arrival: ArrivalConfig = ArrivalConfig()
 
     # -- tracing -------------------------------------------------------------------
-    trace: bool = False
-    trace_categories: Optional[tuple[str, ...]] = None
     #: observability layer (spans, time-series, exports); disabled by
     #: default and strictly additive like ``faults``
     obs: ObsConfig = ObsConfig()

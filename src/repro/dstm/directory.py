@@ -86,7 +86,7 @@ class DirectoryShard:
         self.lease_duration = lease_duration
         self.reclaim_grace = float(reclaim_grace)
         self.metrics = metrics
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         #: the co-located TM proxy; set by the cluster after construction
         #: (the proxy is built later).  Needed to re-host reclaimed objects.
         self.proxy: Optional["TMProxy"] = None

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.dstm.contention import DoomRegistry, WinnerPolicy
-from repro.dstm.directory import DirectoryShard
 from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject, home_node
 from repro.dstm.transaction import ETS, Transaction
@@ -88,7 +87,6 @@ class TMProxy:
     def __init__(
         self,
         node: Node,
-        directory: DirectoryShard,
         scheduler: SchedulerPolicy,
         tracer: Optional[Tracer] = None,
         fallback_exec_estimate: float = 0.05,
@@ -98,9 +96,8 @@ class TMProxy:
     ) -> None:
         self.node = node
         self.env = node.env
-        self.directory = directory
         self.scheduler = scheduler
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         #: the typed caller side of the RPC substrate; every proxy RPC is
         #: ``rpc_client.call(dst, "<endpoint>", payload)``.  The cluster
         #: supplies one per node; a directly-constructed proxy (tests)

@@ -35,7 +35,7 @@ class FaultInjector:
     ) -> None:
         self.plan = plan
         self.metrics = metrics
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.network: Optional["Network"] = None
         # Local tallies (unit tests and diagnostics; metrics mirrors them)
         self.dropped = 0

@@ -66,7 +66,7 @@ class Network:
         self.topology = topology
         #: bound per-message delay lookup (hot path: one call per send)
         self._link_delay = topology.delay
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.local_delay = float(local_delay)
         self._nodes: Dict[int, "Node"] = {}
         #: optional :class:`repro.faults.FaultInjector`; when set, it

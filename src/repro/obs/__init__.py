@@ -2,9 +2,8 @@
 
 Layered on the simulation tracer's sink interface: when enabled (see
 :class:`~repro.core.config.ObsConfig`), the cluster attaches an
-:class:`ObsRecorder` that converts every accepted trace record into a
-flat schema event and streams it to exporters while folding it into
-bounded in-memory aggregates.
+:class:`ObsRecorder` that streams every accepted schema event to
+exporters while folding it into bounded in-memory aggregates.
 
 Pieces:
 
@@ -26,7 +25,6 @@ from repro.obs.events import (
     OBS_CATEGORIES,
     SPAN_PHASES,
     SchemaError,
-    record_to_event,
     validate_event,
     validate_events,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "build_spans",
     "dumps_event",
     "phase_durations",
-    "record_to_event",
     "validate_event",
     "validate_events",
 ]

@@ -1,12 +1,15 @@
 """The observability event schema.
 
-Every exported observation is one flat JSON object (one line of the JSONL
-log) derived from a :class:`~repro.sim.trace.TraceRecord`:
+Every observation is one flat event dict, built once by
+:meth:`repro.sim.trace.Tracer.emit` and handed as-is to every sink (one
+line of the JSONL log):
 
 * ``t``   — simulation time (float seconds);
 * ``cat`` — event category (dot-separated, e.g. ``span.begin``);
 * ``sub`` — the subject (a txid, oid, node tag ``n<id>``, or message tag);
 * any further keys — category-specific details, all JSON scalars.
+
+The three reserved keys win over a same-named detail.
 
 Categories (the span/series/audit model; see DESIGN.md "Observability"):
 
@@ -74,13 +77,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable
 
-from repro.sim.trace import TraceRecord
-
 __all__ = [
     "OBS_CATEGORIES",
     "SPAN_PHASES",
     "SchemaError",
-    "record_to_event",
     "validate_event",
     "validate_events",
 ]
@@ -150,19 +150,6 @@ _DECISION_ACTIONS = frozenset({"enqueue", "abort", "local_wait"})
 
 class SchemaError(ValueError):
     """An exported event violates the observability schema."""
-
-
-def record_to_event(record: TraceRecord) -> Dict[str, Any]:
-    """Flatten a :class:`TraceRecord` into its canonical event dict.
-
-    Detail keys are merged at the top level; the reserved keys ``t``,
-    ``cat`` and ``sub`` always win over a same-named detail.
-    """
-    event: Dict[str, Any] = dict(record.details)
-    event["t"] = record.time
-    event["cat"] = record.category
-    event["sub"] = record.subject
-    return event
 
 
 def validate_event(event: Any) -> None:

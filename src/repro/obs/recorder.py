@@ -1,9 +1,8 @@
 """The in-process observability recorder.
 
 One :class:`ObsRecorder` attaches to the cluster tracer as a sink and,
-per accepted record:
+per accepted schema event:
 
-* converts it to a schema event exactly once;
 * streams it to the configured exporters (JSONL, Chrome trace);
 * folds it into the :class:`~repro.obs.series.SeriesTracker`;
 * pairs span/phase edges into **streaming** latency statistics — a
@@ -20,11 +19,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.chrome import ChromeTraceWriter
-from repro.obs.events import record_to_event
 from repro.obs.series import SeriesTracker
 from repro.obs.sink import JsonlSink
 from repro.sim.monitor import Tally
-from repro.sim.trace import TraceRecord, TraceSink
 from repro.util.stats import OnlineQuantile
 
 __all__ = ["ObsRecorder", "PhaseStat"]
@@ -57,7 +54,7 @@ class PhaseStat:
         }
 
 
-class ObsRecorder(TraceSink):
+class ObsRecorder:
     """Tracer sink: export + reduce every observability event."""
 
     def __init__(
@@ -80,11 +77,10 @@ class ObsRecorder(TraceSink):
 
     # -- sink interface --------------------------------------------------
 
-    def accept(self, record: TraceRecord) -> None:
-        event = record_to_event(record)
+    def accept(self, event: Dict[str, Any]) -> None:
         self.events += 1
         if self.jsonl is not None:
-            self.jsonl.accept_event(event)
+            self.jsonl.accept(event)
         if self.chrome is not None:
             self.chrome.feed(event)
         self.series.feed(event)

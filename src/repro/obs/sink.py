@@ -1,6 +1,6 @@
 """Streaming export sinks for observability events.
 
-:class:`JsonlSink` writes one canonical JSON object per line as records
+:class:`JsonlSink` writes one canonical JSON object per line as events
 arrive — nothing is buffered beyond the OS file buffer, so arbitrarily
 long runs export in O(1) memory.  Canonical serialisation
 (``sort_keys=True``, compact separators) makes same-seed exports
@@ -15,9 +15,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, List, Optional, Union
 
-from repro.obs.events import record_to_event
-from repro.sim.trace import TraceRecord, TraceSink
-
 __all__ = ["JsonlSink", "MemorySink", "dumps_event"]
 
 
@@ -26,8 +23,8 @@ def dumps_event(event: Dict[str, Any]) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
-class JsonlSink(TraceSink):
-    """Stream accepted records to a JSONL file (or file-like object)."""
+class JsonlSink:
+    """Stream accepted events to a JSONL file (or file-like object)."""
 
     def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
         if hasattr(path_or_file, "write"):
@@ -40,11 +37,7 @@ class JsonlSink(TraceSink):
             self.path = str(path_or_file)
         self.count = 0
 
-    def accept(self, record: TraceRecord) -> None:
-        self.accept_event(record_to_event(record))
-
-    def accept_event(self, event: Dict[str, Any]) -> None:
-        """Write an already-converted event (recorder fast path)."""
+    def accept(self, event: Dict[str, Any]) -> None:
         self._file.write(dumps_event(event))
         self._file.write("\n")
         self.count += 1
@@ -56,14 +49,14 @@ class JsonlSink(TraceSink):
             self._file.flush()
 
 
-class MemorySink(TraceSink):
+class MemorySink:
     """Collect event dicts in memory (tests, in-process reports)."""
 
     def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
 
-    def accept(self, record: TraceRecord) -> None:
-        self.events.append(record_to_event(record))
+    def accept(self, event: Dict[str, Any]) -> None:
+        self.events.append(event)
 
     def __len__(self) -> int:
         return len(self.events)

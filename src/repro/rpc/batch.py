@@ -49,7 +49,7 @@ class PiggybackBatcher:
             raise ValueError(f"batch window must be > 0, got {window}")
         self.env = env
         self.window = float(window)
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.network: Optional["Network"] = None
         #: open coalescing windows: (src, dst) -> [(message, link delay)]
         self._buffers: Dict[Tuple[int, int], List[Tuple[Message, float]]] = {}

@@ -52,7 +52,7 @@ class RpcClient:
         #: None (fault-free build): calls are plain blocking waits with no
         #: timeout events — the legacy behaviour, byte-identical same-seed.
         self.policy = policy
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics
         self.cache = cache if cache is not None else LookupCache()
         self.registry = registry

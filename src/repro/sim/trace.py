@@ -1,142 +1,59 @@
 """Structured simulation tracing.
 
-The tracer records ``(time, category, subject, details)`` tuples.  It exists
-for four consumers: debugging (human-readable dumps), tests (asserting on
-protocol event orderings, e.g. "the object was handed to the queued requester
-before any fresh request was served"), the determinism property test
-(identical seeds must produce identical traces), and the observability layer
-(:mod:`repro.obs`), which attaches *sinks* that stream every accepted record
-out of the process so long runs never accumulate unbounded in-memory state.
+The tracer filters ``(time, category, subject, details)`` observations by
+category and fans each accepted one out to its attached *sinks*.  Every
+observation reaches a sink as one flat event dict — the observability
+schema shape (:mod:`repro.obs.events`): the details plus the reserved keys
+``t`` (time), ``cat`` (category) and ``sub`` (subject), which win over
+same-named details.  The tracer builds that dict once and hands the same
+object to every sink, so sinks must not mutate it.
+
+A sink is anything with an ``accept(event)`` method (and optionally
+``close()``).  The tracer keeps nothing itself: in-memory retention is
+:class:`~repro.obs.sink.MemorySink`, streaming export is
+:class:`~repro.obs.sink.JsonlSink`, and the observability layer attaches
+its :class:`~repro.obs.recorder.ObsRecorder`.
 
 Tracing is off by default and filtered by category, so the hot path pays a
-single dict lookup when disabled.
-
-In-memory retention modes (``max_records``):
-
-* unbounded (default) — every accepted record is kept;
-* **bounded** (``ring=False``) — the first ``max_records`` are kept and the
-  tail is dropped (``dropped`` counts the loss);
-* **ring** (``ring=True``) — the *most recent* ``max_records`` are kept and
-  the head is evicted (``dropped`` counts evictions) — what a debugging
-  session wants, since the interesting part of a run is almost always its
-  end.
-
-Sinks are independent of retention: an attached sink sees every accepted
-record even when the in-memory store is bounded or disabled entirely
-(``keep_records=False``), which is the streaming-export path.
+single guard when disabled.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional
 
-__all__ = ["TraceRecord", "TraceSink", "Tracer"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry."""
-
-    time: float
-    category: str
-    subject: str
-    details: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
-
-    def detail(self, key: str, default: Any = None) -> Any:
-        for k, v in self.details:
-            if k == key:
-                return v
-        return default
-
-    def __str__(self) -> str:
-        kv = " ".join(f"{k}={v}" for k, v in self.details)
-        return f"[{self.time:12.6f}] {self.category:<12} {self.subject} {kv}".rstrip()
-
-
-class TraceSink:
-    """Interface for streaming consumers of accepted trace records.
-
-    Anything with an ``accept(record)`` method works (duck-typed); this
-    base class exists for documentation and ``close()`` default.
-    """
-
-    def accept(self, record: TraceRecord) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush/close any underlying resource (files, builders)."""
+__all__ = ["Tracer"]
 
 
 class Tracer:
-    """Category-filtered, optionally bounded trace collector."""
+    """Category filter in front of a list of event sinks."""
 
     def __init__(
-        self,
-        enabled: bool = False,
-        categories: Optional[Iterable[str]] = None,
-        max_records: Optional[int] = None,
-        ring: bool = False,
-        keep_records: bool = True,
+        self, enabled: bool = False, categories: Optional[Iterable[str]] = None
     ) -> None:
         self.enabled = enabled
         self._categories = set(categories) if categories is not None else None
-        self._max = max_records
-        self._ring = bool(ring)
-        self._keep = bool(keep_records)
-        self._records: deque = deque()
         self._sinks: List[Any] = []
-        self.dropped = 0
 
     def wants(self, category: str) -> bool:
-        """Cheap guard callers can use to skip building detail tuples."""
+        """Cheap guard callers can use to skip building details."""
         if not self.enabled:
             return False
         return self._categories is None or category in self._categories
 
     def attach_sink(self, sink: Any) -> Any:
-        """Attach a streaming consumer; returns it (for chaining).
-
-        Sinks receive every record that passes the category filter,
-        regardless of the in-memory retention mode.
-        """
+        """Attach a consumer of every accepted event; returns it."""
         self._sinks.append(sink)
         return sink
-
-    def detach_sink(self, sink: Any) -> None:
-        self._sinks.remove(sink)
 
     def emit(self, time: float, category: str, subject: str, **details: Any) -> None:
         if not self.wants(category):
             return
-        record = TraceRecord(time, category, subject, tuple(sorted(details.items())))
+        details["t"] = time
+        details["cat"] = category
+        details["sub"] = subject
         for sink in self._sinks:
-            sink.accept(record)
-        if not self._keep:
-            return
-        if self._max is not None and len(self._records) >= self._max:
-            self.dropped += 1
-            if not self._ring:
-                return  # bounded mode: keep the head, drop the tail
-            self._records.popleft()  # ring mode: evict the oldest
-        self._records.append(record)
-
-    def records(self, category: Optional[str] = None) -> List[TraceRecord]:
-        if category is None:
-            return list(self._records)
-        return [r for r in self._records if r.category == category]
-
-    def categories(self) -> Dict[str, int]:
-        """Histogram of record counts per category."""
-        out: Dict[str, int] = {}
-        for r in self._records:
-            out[r.category] = out.get(r.category, 0) + 1
-        return out
-
-    def clear(self) -> None:
-        self._records.clear()
-        self.dropped = 0
+            sink.accept(details)
 
     def close_sinks(self) -> None:
         """Close every attached sink that supports it."""
@@ -144,36 +61,3 @@ class Tracer:
             close = getattr(sink, "close", None)
             if close is not None:
                 close()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __bool__(self) -> bool:
-        # A tracer is a sink, not a container: an *empty* tracer must not
-        # be falsy, or `tracer or Tracer()` at wiring sites would discard
-        # a configured-but-quiet instance.
-        return True
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def dump(self, limit: Optional[int] = None, tail: Optional[int] = None) -> str:
-        """Human-readable multi-line rendering (for debugging sessions).
-
-        ``limit`` takes the first N records; ``tail`` (or a negative
-        ``limit``) takes the last N — the end of the run, which is where
-        debugging sessions almost always want to look.
-        """
-        if limit is not None and limit < 0:
-            if tail is not None:
-                raise ValueError("pass either a negative limit or tail, not both")
-            tail = -limit
-        rows: Iterable[TraceRecord]
-        if tail is not None:
-            n = len(self._records)
-            rows = list(self._records)[max(0, n - tail):]
-        elif limit is not None:
-            rows = list(self._records)[:limit]
-        else:
-            rows = self._records
-        return "\n".join(str(r) for r in rows)

@@ -9,7 +9,6 @@ from repro.core.cluster import Cluster
 from repro.core.config import CheckConfig, ClusterConfig, FaultConfig
 from repro.core.experiment import run_experiment
 from repro.dstm.objects import ObjectState, home_node
-from repro.check.sanitize import validate_policy
 from repro.rpc import RetryPolicy
 
 CHAOS = FaultConfig(
@@ -94,7 +93,14 @@ class TestUnitChecks:
     def test_policy_validation(self):
         pol = RetryPolicy(timeout=0.1, max_retries=3, backoff_factor=2.0,
                         backoff_cap=0.4)
-        assert validate_policy(pol) is pol
+        s = Sanitizer()
+        s.check_policy(pol)
+        assert s.checks == 1
+        # Corrupt past __post_init__: a shrinking backoff is not monotone.
+        object.__setattr__(pol, "backoff_factor", 0.5)
+        with pytest.raises(InvariantViolation) as exc:
+            s.check_policy(pol)
+        assert exc.value.rule_id == "inv-retry-policy"
 
     def test_violation_is_structured(self):
         s = Sanitizer()

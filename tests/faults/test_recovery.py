@@ -371,7 +371,7 @@ class TestReclaimRefreshesStaleLocalCopy:
         from repro.scheduler.tfa_baseline import TfaScheduler
 
         nodes, shard = dirnet
-        proxy = TMProxy(nodes[0], shard, TfaScheduler())
+        proxy = TMProxy(nodes[0], TfaScheduler())
         shard.proxy = proxy
         shard.metrics = MetricsCollector()
         proxy.store["s"] = VersionedObject("s", "stale", 2)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import Message, MessageType, Network, Node, RpcError, Topology
 from repro.net.topology import TopologyKind
+from repro.obs.sink import MemorySink
 from repro.rpc import RetryPolicy
 from repro.sim import Environment, RngRegistry, Tracer
 
@@ -81,11 +82,11 @@ class TestTransport:
 
     def test_trace_records_send_and_recv(self, env, net):
         network, nodes = net
+        sink = network.tracer.attach_sink(MemorySink())
         nodes[1].on(MessageType.PING, lambda m: None)
         nodes[0].send(1, MessageType.PING)
         env.run()
-        assert len(network.tracer.records("net.send")) == 1
-        assert len(network.tracer.records("net.recv")) == 1
+        assert [e["cat"] for e in sink.events] == ["net.send", "net.recv"]
 
     def test_broadcast_skips_source_and_none_payloads(self, env, net):
         network, nodes = net

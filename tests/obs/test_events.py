@@ -6,32 +6,15 @@ from repro.obs.events import (
     OBS_CATEGORIES,
     SPAN_PHASES,
     SchemaError,
-    record_to_event,
     validate_event,
     validate_events,
 )
-from repro.sim.trace import TraceRecord
 
 
 def ev(**kw):
     base = {"t": 1.0, "cat": "dstm.grant", "sub": "obj1"}
     base.update(kw)
     return base
-
-
-class TestRecordToEvent:
-    def test_flattens_details(self):
-        r = TraceRecord(2.5, "span.phase", "tx1", (("edge", "B"), ("phase", "open")))
-        event = record_to_event(r)
-        assert event == {
-            "t": 2.5, "cat": "span.phase", "sub": "tx1",
-            "edge": "B", "phase": "open",
-        }
-
-    def test_reserved_keys_win(self):
-        r = TraceRecord(1.0, "c", "s", (("t", 99.0), ("cat", "x"), ("sub", "y")))
-        event = record_to_event(r)
-        assert event["t"] == 1.0 and event["cat"] == "c" and event["sub"] == "s"
 
 
 class TestValidateEvent:

@@ -33,23 +33,22 @@ class TestClusterWiring:
         for cat in OBS_CATEGORIES:
             assert cluster.tracer.wants(cat)
         assert not cluster.tracer.wants("unrelated.category")
-        # streaming only: the tracer retains nothing in memory
-        cluster.tracer.emit(0.0, "obs.queue", "o1", node="n0", len=0)
-        assert len(cluster.tracer) == 0
 
     def test_obs_dict_coercion(self):
         cfg = ClusterConfig(num_nodes=2, obs=dict(enabled=True, window=0.5))
         assert isinstance(cfg.obs, ObsConfig)
         assert cfg.obs.window == 0.5
 
-    def test_trace_flag_keeps_in_memory_records(self):
+    def test_memory_sink_keeps_in_memory_records(self):
         from repro.core.cluster import Cluster
 
-        cluster = Cluster(
-            ClusterConfig(num_nodes=2, trace=True, obs=ObsConfig(enabled=True))
-        )
+        cluster = Cluster(ClusterConfig(num_nodes=2, obs=ObsConfig(enabled=True)))
+        sink = cluster.tracer.attach_sink(MemorySink())
         cluster.tracer.emit(0.0, "obs.queue", "o1", node="n0", len=0)
-        assert len(cluster.tracer) == 1  # trace=True retains records too
+        assert sink.events == [
+            {"t": 0.0, "cat": "obs.queue", "sub": "o1", "node": "n0", "len": 0}
+        ]
+        assert cluster.obs.events == 1  # the recorder saw it too
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -102,11 +101,9 @@ class TestRecorderThroughRun:
 
     def test_recorder_pairs_phases_standalone(self):
         rec = ObsRecorder()
-        sink = MemorySink()  # noqa: F841  (schema sanity below uses rec only)
-        from repro.sim.trace import TraceRecord
 
         def feed(t, cat, sub, **kw):
-            rec.accept(TraceRecord(t, cat, sub, tuple(sorted(kw.items()))))
+            rec.accept(dict(kw, t=t, cat=cat, sub=sub))
 
         feed(0.0, "span.begin", "tx1", task="t", node="n0", attempt=0,
              profile="p", depth=0)
@@ -118,3 +115,27 @@ class TestRecorderThroughRun:
         assert rows["commit"]["count"] == 1
         assert rows["commit"]["mean"] == pytest.approx(0.3)
         assert rows["span.commit"]["mean"] == pytest.approx(0.5)
+
+
+class TestStreamsAgree:
+    def test_memory_and_jsonl_streams_agree(self, tmp_path):
+        from repro.core.cluster import Cluster
+        from repro.core.executor import WorkloadExecutor
+        from repro.obs import dumps_event
+        from repro.workloads.registry import make_workload
+
+        path = tmp_path / "run.jsonl"
+        obs = ObsConfig(enabled=True, jsonl_path=str(path))
+        cluster = Cluster(ClusterConfig(num_nodes=4, seed=5, obs=obs))
+        sink = cluster.tracer.attach_sink(MemorySink())
+        ex = WorkloadExecutor(
+            cluster, make_workload("bank", read_fraction=0.5),
+            workers_per_node=2, horizon=2.0,
+        )
+        ex.setup()
+        ex.run()
+        cluster.finish_obs()
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(sink.events) == cluster.obs.events > 0
+        assert [dumps_event(e) for e in sink.events] == lines
+        assert {e["cat"] for e in sink.events} >= {"span.begin", "span.end"}

@@ -109,15 +109,15 @@ class TestClient:
             drive(env, client.call(1, "handoff", {"oid": "x", "txid": "t"}))
 
     def test_success_counts_and_traces(self, env, net2):
+        from repro.obs.sink import MemorySink
         from repro.sim import Tracer
 
         tracer = Tracer(enabled=True, categories={"rpc.issue", "rpc.done"})
+        sink = tracer.attach_sink(MemorySink())
         serve(net2[1], "ping", lambda msg: {})
         client = RpcClient(net2[0], tracer=tracer)
         drive(env, client.call(1, "ping"))
         assert client.calls == 1 and client.failures == 0
-        assert [r.category for r in tracer.records()] == [
-            "rpc.issue", "rpc.done"
-        ]
-        done = tracer.records("rpc.done")[0]
-        assert done.detail("ok") is True and done.detail("retries") == 0
+        assert [e["cat"] for e in sink.events] == ["rpc.issue", "rpc.done"]
+        done = sink.events[1]
+        assert done["ok"] is True and done["retries"] == 0

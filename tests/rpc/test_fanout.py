@@ -11,6 +11,7 @@ import pytest
 
 from repro.net import MessageType, Network, Node, Topology
 from repro.net.node import RpcError
+from repro.obs.sink import MemorySink
 from repro.prof import KernelProfiler
 from repro.rpc import RetryPolicy, RpcClient, serve
 from repro.sim import RngRegistry, Tracer
@@ -43,14 +44,15 @@ class TestJoin:
 
     def test_each_issue_is_traced_right_before_its_send(self, env):
         tracer = Tracer(enabled=True, categories={"rpc.issue", "net.send"})
+        sink = tracer.attach_sink(MemorySink())
         nodes = cluster(env, tracer=tracer)
         echo_peers(nodes)
         RpcClient(nodes[0], tracer=tracer).call_all(
             "ping", [(2, {}), (3, {}), (1, {})]
         )
-        records = tracer.records()[:6]
-        assert [r.category for r in records] == ["rpc.issue", "net.send"] * 3
-        assert [r.detail("dst") for r in records] == [2, 2, 3, 3, 1, 1]
+        events = sink.events[:6]
+        assert [e["cat"] for e in events] == ["rpc.issue", "net.send"] * 3
+        assert [e["dst"] for e in events] == [2, 2, 3, 3, 1, 1]
 
     def test_empty_fan_out_succeeds_with_no_replies(self, env):
         nodes = cluster(env)
@@ -131,16 +133,16 @@ class TestRetry:
     def test_one_issue_and_one_done_per_call(self, env):
         nodes, _ = self.build(env)
         tracer = Tracer(enabled=True, categories={"rpc.issue", "rpc.done"})
+        sink = tracer.attach_sink(MemorySink())
         client = RpcClient(nodes[0], policy=self.POLICY, tracer=tracer)
         client.call_all("ping", [(1, {}), (2, {}), (3, {})])
         env.run()
-        issues = tracer.records("rpc.issue")
-        dones = tracer.records("rpc.done")
-        assert [r.detail("dst") for r in issues] == [1, 2, 3]
-        assert sorted(
-            (r.detail("dst"), r.detail("ok"), r.detail("retries"))
-            for r in dones
-        ) == [(1, True, 0), (2, False, self.POLICY.max_retries), (3, True, 0)]
+        issues = [e for e in sink.events if e["cat"] == "rpc.issue"]
+        dones = [e for e in sink.events if e["cat"] == "rpc.done"]
+        assert [e["dst"] for e in issues] == [1, 2, 3]
+        assert sorted((e["dst"], e["ok"], e["retries"]) for e in dones) == [
+            (1, True, 0), (2, False, self.POLICY.max_retries), (3, True, 0)
+        ]
 
     def test_request_raises_on_a_silent_peer(self, env):
         nodes, _ = self.build(env)

@@ -1,120 +1,66 @@
 """Unit tests for the tracer."""
 
+from repro.obs.sink import MemorySink
 from repro.sim import Tracer
-from repro.sim.trace import TraceRecord
+
+
+def with_sink(**kwargs):
+    tr = Tracer(**kwargs)
+    return tr, tr.attach_sink(MemorySink())
 
 
 class TestTracer:
     def test_disabled_by_default(self):
-        tr = Tracer()
+        tr, sink = with_sink()
         tr.emit(1.0, "cat", "subj", a=1)
-        assert len(tr) == 0
+        assert sink.events == []
 
     def test_enabled_records(self):
-        tr = Tracer(enabled=True)
+        tr, sink = with_sink(enabled=True)
         tr.emit(1.0, "cat", "subj", a=1)
-        assert len(tr) == 1
-        rec = tr.records()[0]
-        assert rec.time == 1.0
-        assert rec.category == "cat"
-        assert rec.detail("a") == 1
-        assert rec.detail("missing", "dflt") == "dflt"
+        assert sink.events == [{"t": 1.0, "cat": "cat", "sub": "subj", "a": 1}]
 
     def test_category_filter(self):
-        tr = Tracer(enabled=True, categories={"keep"})
+        tr, sink = with_sink(enabled=True, categories={"keep"})
         tr.emit(0.0, "keep", "x")
         tr.emit(0.0, "drop", "y")
-        assert [r.category for r in tr] == ["keep"]
+        assert [e["cat"] for e in sink.events] == ["keep"]
         assert tr.wants("keep") and not tr.wants("drop")
 
-    def test_max_records_bound(self):
-        tr = Tracer(enabled=True, max_records=2)
-        for i in range(5):
-            tr.emit(float(i), "c", "s")
-        assert len(tr) == 2
-        assert tr.dropped == 3
-
     def test_records_by_category(self):
-        tr = Tracer(enabled=True)
+        tr, sink = with_sink(enabled=True)
         tr.emit(0.0, "a", "1")
         tr.emit(0.0, "b", "2")
         tr.emit(0.0, "a", "3")
-        assert len(tr.records("a")) == 2
-        assert tr.categories() == {"a": 2, "b": 1}
+        assert [e["sub"] for e in sink.events if e["cat"] == "a"] == ["1", "3"]
 
-    def test_clear(self):
-        tr = Tracer(enabled=True, max_records=1)
-        tr.emit(0.0, "c", "s")
-        tr.emit(0.0, "c", "s")
-        tr.clear()
-        assert len(tr) == 0 and tr.dropped == 0
+    def test_reserved_keys_win(self):
+        tr, sink = with_sink(enabled=True)
+        tr.emit(1.0, "c", "s", t=99.0, cat="x", sub="y", extra=2)
+        assert sink.events == [{"t": 1.0, "cat": "c", "sub": "s", "extra": 2}]
 
-    def test_dump_and_str(self):
-        tr = Tracer(enabled=True)
-        tr.emit(1.5, "commit", "tx1", node=3)
-        text = tr.dump()
-        assert "commit" in text and "tx1" in text and "node=3" in text
-        assert tr.dump(limit=0) == ""
-
-    def test_record_is_hashable_and_ordered_details(self):
-        r = TraceRecord(1.0, "c", "s", (("a", 1), ("b", 2)))
-        assert hash(r) == hash(TraceRecord(1.0, "c", "s", (("a", 1), ("b", 2))))
-
-    def test_ring_mode_keeps_most_recent(self):
-        tr = Tracer(enabled=True, max_records=2, ring=True)
-        for i in range(5):
+    def test_every_sink_sees_the_same_event(self):
+        tr, first = with_sink(enabled=True)
+        second = tr.attach_sink(MemorySink())
+        for i in range(3):
             tr.emit(float(i), "c", f"s{i}")
-        assert [r.subject for r in tr] == ["s3", "s4"]
-        assert tr.dropped == 3
+        assert [e["sub"] for e in first.events] == ["s0", "s1", "s2"]
+        assert all(a is b for a, b in zip(first.events, second.events))
 
-    def test_dump_tail(self):
-        tr = Tracer(enabled=True)
-        for i in range(5):
-            tr.emit(float(i), "c", f"s{i}")
-        tail = tr.dump(tail=2)
-        assert "s3" in tail and "s4" in tail and "s0" not in tail
-        # negative limit aliases tail
-        assert tr.dump(limit=-2) == tail
-        assert "s0" in tr.dump(limit=2) and "s4" not in tr.dump(limit=2)
-
-    def test_dump_tail_conflict_raises(self):
-        tr = Tracer(enabled=True)
-        try:
-            tr.dump(limit=-1, tail=1)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected ValueError")
-
-    def test_sink_sees_all_despite_bounds(self):
-        seen = []
-
-        class Sink:
-            def accept(self, record):
-                seen.append(record.subject)
-
-        tr = Tracer(enabled=True, max_records=1, keep_records=False)
-        tr.attach_sink(Sink())
-        for i in range(4):
-            tr.emit(float(i), "c", f"s{i}")
-        assert seen == ["s0", "s1", "s2", "s3"]
-        assert len(tr) == 0  # keep_records=False: nothing retained
-
-    def test_detach_sink_and_close(self):
+    def test_close_sinks(self):
         closed = []
 
         class Sink:
-            def accept(self, record):
+            def accept(self, event):
                 pass
 
             def close(self):
                 closed.append(True)
 
         tr = Tracer(enabled=True)
-        sink = tr.attach_sink(Sink())
+        tr.attach_sink(Sink())
+        tr.attach_sink(MemorySink())  # no close(): skipped
         tr.close_sinks()
-        tr.detach_sink(sink)
-        tr.emit(0.0, "c", "s")  # no sink errors after detach
         assert closed == [True]
 
     def test_tracer_always_truthy(self):

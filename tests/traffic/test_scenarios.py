@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ArrivalConfig, ClusterConfig, SchedulerKind
 from repro.core.cluster import Cluster
+from repro.obs.sink import MemorySink
 from repro.traffic import OpenLoopExecutor, Phase, Scenario, make_scenario
 from repro.workloads.registry import make_workload
 
@@ -53,21 +54,22 @@ class TestEngineRetargeting:
     def _run(self, scenario, horizon=4.0):
         cfg = ClusterConfig(
             num_nodes=2, seed=9, scheduler=SchedulerKind.RTS, cl_threshold=4,
-            trace=True, trace_categories=("traffic.phase",),
+            obs=dict(enabled=True),
             arrival=ArrivalConfig(enabled=True, rate=8.0, scenario=scenario),
         )
         cluster = Cluster(cfg)
+        sink = cluster.tracer.attach_sink(MemorySink())
         workload = make_workload("dht", read_fraction=0.9)
         ex = OpenLoopExecutor(cluster, workload, cfg.arrival,
                               service_workers=1, horizon=horizon)
         ex.setup()
         ex.run()
-        return cluster, ex
+        return sink, ex
 
     def test_phases_fire_at_exact_timestamps(self):
-        cluster, ex = self._run("flash-crowd", horizon=4.0)
-        events = cluster.tracer.records("traffic.phase")
-        assert [(r.time, dict(r.details)["name"]) for r in events] == [
+        sink, ex = self._run("flash-crowd", horizon=4.0)
+        events = [e for e in sink.events if e["cat"] == "traffic.phase"]
+        assert [(e["t"], e["name"]) for e in events] == [
             (0.0, "steady"),
             (1.6, "surge"),          # exactly horizon * 0.4
             (2.8, "recovery"),       # exactly horizon * 0.7
@@ -75,7 +77,7 @@ class TestEngineRetargeting:
         assert ex.rate_scale == 1.0  # recovery restored the base rate
 
     def test_hotspot_migration_moves_the_popularity(self):
-        cluster, ex = self._run("hotspot-migration", horizon=4.0)
+        _, ex = self._run("hotspot-migration", horizon=4.0)
         assert ex.popularity is not None
         assert ex.popularity.shift == 3      # last of 4 moves applied
         assert ex.popularity.s == pytest.approx(1.2)
