@@ -20,6 +20,14 @@ class TestTracer:
         tr.emit(1.0, "cat", "subj", a=1)
         assert sink.events == [{"t": 1.0, "cat": "cat", "sub": "subj", "a": 1}]
 
+    def test_flattens_details(self):
+        tr, sink = with_sink(enabled=True)
+        tr.emit(2.5, "span.phase", "tx1", edge="B", phase="open")
+        assert sink.events == [{
+            "t": 2.5, "cat": "span.phase", "sub": "tx1",
+            "edge": "B", "phase": "open",
+        }]
+
     def test_category_filter(self):
         tr, sink = with_sink(enabled=True, categories={"keep"})
         tr.emit(0.0, "keep", "x")
